@@ -28,7 +28,6 @@ from taru.cq import (
     Database,
     Var,
     brute_cq_count,
-    count_cq,
     sample_cq,
 )
 from taru.engine import LanguageSampler, fpras_bta
@@ -81,10 +80,12 @@ def main():
             "M": {("c3",)},
         }
     )
+    # One handle: the reduction's engine is built once, then both counts
+    # and samples.
+    handle = sample_cq(q1, d1, None, config)
     print("  exact:", brute_cq_count(q1, d1)[0],
-          " estimate:", f"{count_cq(q1, d1, None, config).estimate:.3f}")
-    sampler = sample_cq(q1, d1, None, config)
-    print("  sample answers:", [sampler.draw() for _ in range(3)])
+          " estimate:", f"{handle.count().estimate:.3f}")
+    print("  sample answers:", [handle.draw() for _ in range(3)])
 
     print("== existential CSP ==")
     e = Ecsp(

@@ -26,7 +26,8 @@ from .cq import (
     Var,
     count_cq,
 )
-from .engine import CountResult, fpras_bta, _certificate
+from .engine import CountResult, fpras_bta
+from .oracles import BudgetExceeded
 from .trees import Tree, leaf
 
 
@@ -97,7 +98,7 @@ def brute_ecsp_count(e: Ecsp, budget: int = 10_000_000) -> int:
     """Exact solution-projection count by full assignment enumeration."""
     total = len(e.domain) ** len(e.variables)
     if total > budget:
-        raise RuntimeError(f"{total} assignments exceed the budget {budget}")
+        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
     seen = set()
     names = list(e.variables)
     for values in product(e.domain, repeat=len(names)):

@@ -21,8 +21,6 @@ from .applications import (
     count_dnnf,
     count_ecsp,
     count_nwa,
-    nwa_tree_size,
-    nwa_to_bta,
     truth_table_count,
 )
 from .automata import AutomatonError
@@ -32,17 +30,9 @@ from .cq import (
     brute_cq_count,
     count_cq,
     count_ucq,
-    gyo_join_tree,
     sample_cq,
 )
-from .engine import (
-    BOT,
-    EngineFail,
-    Engine,
-    LanguageSampler,
-    fpras_bta,
-    fpras_ta,
-)
+from .engine import BOT, Engine, EngineFail, LanguageSampler, fpras_ta
 from .formats import (
     FormatError,
     automaton_from_json,
@@ -64,8 +54,9 @@ from .oracles import (
     dp_count_bottom_up_deterministic,
     DeterminismError,
 )
-from .partition import MainPathError, build_partition_nfa
-from .snfa import NfaError, count_succinct_nfa
+from .partition import MainPathError
+from .sampling import EMPTY
+from .snfa import NfaError, OracleExhausted, count_succinct_nfa
 from .trees import Tree, TreeParseError, serialize_tree
 
 MAX_N = 10_000
@@ -122,8 +113,6 @@ def make_parser() -> _Parser:
         sp.add_argument("--delta", type=float, default=0.1)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--profile", choices=["practical", "theory"], default="practical")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="upper bound on internal parallelism")
 
     sp = sub.add_parser("count", help="count size-n trees of a tree automaton")
     sp.add_argument("--automaton", required=True)
@@ -225,11 +214,7 @@ def _cmd_count(args, started) -> int:
         _emit({"count": count, "mode": "exact-dp", "n": args.n, "inputs": digests},
               f"exact count {count}", started)
         return 0
-    config = _config(args)
-    if automaton.is_binary():
-        result = fpras_bta(automaton, args.n, config)
-    else:
-        result = fpras_ta(automaton, args.n, config)
+    result = fpras_ta(automaton, args.n, _config(args))
     payload = {"estimate": result.estimate, "n": args.n, "inputs": digests}
     payload.update(result.certificate)
     _emit(payload, f"estimate {result.estimate:.6g}", started)
@@ -247,7 +232,7 @@ def _cmd_sample(args, started) -> int:
         if isinstance(t, Tree):
             print(serialize_tree(t))
             emitted += 1
-        elif t == "EMPTY":
+        elif t == EMPTY:
             break
         else:
             failed += 1
@@ -471,8 +456,6 @@ def run(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be at least 1")
         return _HANDLERS[args.command](args, started)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
@@ -481,7 +464,7 @@ def run(argv=None) -> int:
             MainPathError, ConfigError, DeterminismError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, EngineFail) as e:
+    except (BudgetExceeded, EngineFail, OracleExhausted) as e:
         print(f"failed: {e}", file=sys.stderr)
         return 3
 

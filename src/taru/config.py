@@ -17,7 +17,7 @@ Two parameter profiles are supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -34,10 +34,8 @@ class Config:
     c_sketch: int = 64
     c_trials: int = 16
     c_rho: int = 16
-    # Budgets.
-    oracle_budget: int = 10_000_000
+    # Budget.
     fill_attempts: int = 64
-    max_clamp_warnings: int = 1_000_000
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
@@ -48,9 +46,6 @@ class Config:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if min(self.c_sketch, self.c_trials, self.c_rho) < 1:
             raise ConfigError("scaling constants must be at least 1")
-
-    def with_seed(self, seed: int) -> "Config":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

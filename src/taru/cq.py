@@ -12,13 +12,13 @@ answer count is the slice count at the decomposition size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from typing import Optional
 
 from .automata import TreeAutomaton, merge_initial_states
 from .config import Config
-from .engine import BOT, CountResult, FpausSampler, fpras_ta, _certificate
+from .engine import BOT, CountResult, EngineFail, FpausSampler, LanguageSampler, _certificate
+from .oracles import BudgetExceeded
 from .rng import Stream
 from .trees import Tree
 
@@ -399,10 +399,6 @@ def cq_membership(query: ConjunctiveQuery, db: Database, answer: tuple) -> bool:
     return search(list(query.atoms), binding)
 
 
-class BudgetExceeded(RuntimeError):
-    pass
-
-
 def brute_cq_count(
     query: ConjunctiveQuery, db: Database, budget: int | None = 10_000_000
 ) -> tuple[int, frozenset]:
@@ -543,45 +539,24 @@ def reduce_cq_to_ta(
     return ReductionResult(automaton, len(hd), query.head, label_assignments, len(hd))
 
 
-def answer_tree(
-    result: ReductionResult, query: ConjunctiveQuery, db: Database,
-    hd: HypertreeDecomposition, answer: tuple
-) -> Optional[Tree]:
-    """The unique accepted tree for an answer, or None if it is not one.
-    Test helper for the bijection between answers and accepted trees."""
-    from .oracles import brute_slice
-
-    for t in brute_slice(result.automaton, result.n, budget=None).trees:
-        if result.decode_answer(t) == tuple(answer):
-            return t
-    return None
-
-
-def count_cq(
-    query: ConjunctiveQuery,
-    db: Database,
-    hd: Optional[HypertreeDecomposition],
-    config: Config,
-    max_width: Optional[int] = None,
-) -> CountResult:
-    """Randomized (1 +- epsilon) estimate of the number of answers."""
-    if hd is None:
-        hd = gyo_join_tree(query)
-    reduction = reduce_cq_to_ta(query, db, hd, max_width)
-    result = fpras_ta(reduction.automaton, reduction.n, config)
-    result.certificate["query"] = query.name
-    result.certificate["decomposition_nodes"] = reduction.n
-    return result
-
-
 class CqSampler:
-    """Uniform answer sampler: tree sampler plus label decoding."""
+    """The slice handle of a query: the reduction plus one LanguageSampler
+    over its automaton, which both counts the answers and draws them
+    uniformly (tree sampler plus label decoding)."""
 
     def __init__(self, query, db, hd, config: Config, max_width=None):
         if hd is None:
             hd = gyo_join_tree(query)
+        self.query = query
         self.reduction = reduce_cq_to_ta(query, db, hd, max_width)
-        self.inner = FpausSampler(self.reduction.automaton, self.reduction.n, config)
+        self.handle = LanguageSampler(self.reduction.automaton, self.reduction.n, config)
+        self.inner = FpausSampler(self.handle)
+
+    def count(self) -> CountResult:
+        result = self.handle.count()
+        result.certificate["query"] = self.query.name
+        result.certificate["decomposition_nodes"] = self.reduction.n
+        return result
 
     def draw(self):
         t = self.inner.draw()
@@ -594,6 +569,17 @@ def sample_cq(query, db, hd, config: Config, max_width=None) -> CqSampler:
     return CqSampler(query, db, hd, config, max_width)
 
 
+def count_cq(
+    query: ConjunctiveQuery,
+    db: Database,
+    hd: Optional[HypertreeDecomposition],
+    config: Config,
+    max_width: Optional[int] = None,
+) -> CountResult:
+    """Randomized (1 +- epsilon) estimate of the number of answers."""
+    return CqSampler(query, db, hd, config, max_width).count()
+
+
 def count_ucq(
     queries: list[ConjunctiveQuery],
     db: Database,
@@ -601,8 +587,11 @@ def count_ucq(
     config: Config,
     max_width: Optional[int] = None,
 ) -> CountResult:
-    """Union cardinality by proportional disjunct selection, uniform
-    within-disjunct sampling, and first-occurrence correction."""
+    """Union cardinality by Karp-Luby estimation: one slice handle per
+    disjunct supplies both its answer-count estimate and its uniform answer
+    sampler; disjuncts are picked in proportion to their estimates and a
+    drawn answer counts as a hit when the picked disjunct is the first one
+    containing it."""
     if not queries:
         raise QueryError("a union needs at least one disjunct")
     arities = {len(q.head) for q in queries}
@@ -610,13 +599,8 @@ def count_ucq(
         raise QueryError(f"disjunct head arities differ: {sorted(arities)}")
     if hds is None:
         hds = [None] * len(queries)
-    sub_config = config
-    estimates = []
-    samplers = []
-    for q, hd in zip(queries, hds):
-        est = count_cq(q, db, hd, sub_config, max_width)
-        estimates.append(max(0.0, est.estimate))
-        samplers.append(sample_cq(q, db, hd, sub_config, max_width))
+    samplers = [CqSampler(q, db, hd, config, max_width) for q, hd in zip(queries, hds)]
+    estimates = [s.handle.estimate() for s in samplers]
     total = sum(estimates)
     cert = _certificate(config, "ucq-count", {"disjuncts": len(queries)})
     if total <= 0.0:
@@ -641,6 +625,6 @@ def count_ucq(
         if first == i:
             hits += 1
     if done < trials:
-        raise RuntimeError("union sampling starved; disjunct samplers keep failing")
+        raise EngineFail("union sampling starved; disjunct samplers keep failing")
     cert["trials"] = trials
     return CountResult(total * hits / trials, cert)

@@ -20,7 +20,8 @@ conditioned on the table (acceptance cancels the branch probabilities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .automata import TreeAutomaton, decode_tree, encode_binary
@@ -355,7 +356,6 @@ class Engine:
 class CountResult:
     estimate: float
     certificate: dict
-    engine: Optional[Engine] = None
 
 
 def _certificate(config: Config, mode: str, extra: Optional[dict] = None) -> dict:
@@ -371,39 +371,14 @@ def _certificate(config: Config, mode: str, extra: Optional[dict] = None) -> dic
     return cert
 
 
-def fpras_bta(automaton: TreeAutomaton, n: int, config: Config) -> CountResult:
-    """Randomized (1 +- epsilon) slice count for a binary tree automaton."""
-    automaton.require_binary()
-    if n < 1:
-        raise ValueError("slice size must be at least 1")
-    if n % 2 == 0:
-        return CountResult(0.0, _certificate(config, "fpras", {"exact": "even-size"}))
-    engine = Engine(automaton, n, config)
-    estimate = engine.build()
-    cert = _certificate(config, "fpras", {"warnings": engine.diag.as_warnings()})
-    return CountResult(estimate, cert, engine)
-
-
-def fpras_ta(automaton: TreeAutomaton, n: int, config: Config) -> CountResult:
-    """Slice count for a general tree automaton via the binary encoding at
-    size 2n-1."""
-    if n < 1:
-        raise ValueError("slice size must be at least 1")
-    if n == 1:
-        exact = float(len(set(automaton.leaf_symbols.get(automaton.initial, ()))))
-        return CountResult(exact, _certificate(config, "fpras", {"exact": "leaf-count"}))
-    encoded = encode_binary(automaton)
-    result = fpras_bta(encoded, 2 * n - 1, config)
-    result.certificate["encoded"] = True
-    return result
-
-
 class LanguageSampler:
-    """Draws uniform trees from the size-n slice after one counting run.
+    """The slice handle: one counting run over the size-n slice, then its
+    estimate, its certificate and uniform draws from the same table.
 
+    A non-binary automaton is encoded and handled at size 2n-1, and draws are
+    decoded back.  A binary slice of even size is empty and builds no engine.
     Each draw retries the core sampler up to three times; every emitted tree
-    is membership-checked before being returned.  For non-binary automata the
-    draw happens in the encoded binary language and is decoded back.
+    is membership-checked before being returned.
     """
 
     def __init__(self, automaton: TreeAutomaton, n: int, config: Config):
@@ -412,28 +387,39 @@ class LanguageSampler:
         self.config = config
         self.encoded = not automaton.is_binary()
         work = encode_binary(automaton) if self.encoded else automaton
-        target = 2 * n - 1 if self.encoded else n
-        self.work_n = target
-        self.empty = target % 2 == 0
+        self.work_n = 2 * n - 1 if self.encoded else n
         self.engine: Optional[Engine] = None
-        if not self.empty:
-            self.engine = Engine(work, target, self.config)
+        if self.work_n % 2 == 1:
+            self.engine = Engine(work, self.work_n, config)
             self.engine.build()
-            if self.engine.estimate(work.initial, target) <= 0.0:
-                self.empty = True
-        self._draw_stream = Stream.from_seed(config.seed).child("draws")
+        self.empty = self.estimate() <= 0.0
         self._next = 0
 
+    @cached_property
+    def _draw_stream(self) -> Stream:
+        # Derived on the first draw: a handle that only counts needs none.
+        return Stream.from_seed(self.config.seed).child("draws")
+
     def estimate(self) -> float:
-        if self.empty or self.engine is None:
+        if self.engine is None:
             return 0.0
         return self.engine.estimate(self.engine.base.initial, self.work_n)
+
+    def count(self) -> CountResult:
+        """The slice estimate with its certificate."""
+        if self.engine is None:
+            extra = {"exact": "even-size"}
+        else:
+            extra = {"warnings": self.engine.diag.as_warnings()}
+        if self.encoded:
+            extra["encoded"] = True
+        return CountResult(self.estimate(), _certificate(self.config, "fpras", extra))
 
     def draw(self):
         """A uniform tree, FAIL, or EMPTY."""
         index = self._next
         self._next += 1
-        if self.empty or self.engine is None:
+        if self.empty:
             return EMPTY
         for attempt in range(3):
             t = self.engine.sample(
@@ -451,22 +437,32 @@ class LanguageSampler:
         return FAIL
 
 
+def fpras_ta(automaton: TreeAutomaton, n: int, config: Config) -> CountResult:
+    """Randomized (1 +- epsilon) slice count for a tree automaton; see
+    LanguageSampler for when the binary encoding is used."""
+    if n < 1:
+        raise ValueError("slice size must be at least 1")
+    return LanguageSampler(automaton, n, config).count()
+
+
+def fpras_bta(automaton: TreeAutomaton, n: int, config: Config) -> CountResult:
+    """Randomized (1 +- epsilon) slice count for a binary tree automaton."""
+    automaton.require_binary()
+    return fpras_ta(automaton, n, config)
+
+
 def sample_language(automaton: TreeAutomaton, n: int, config: Config) -> LanguageSampler:
-    return sample_language_handle(automaton, n, config)
-
-
-def sample_language_handle(automaton: TreeAutomaton, n: int, config: Config) -> LanguageSampler:
     return LanguageSampler(automaton, n, config)
 
 
 class FpausSampler:
-    """Almost-uniform sampler: retries draws enough times that the bottom
-    symbol is returned with probability at most delta on nonempty slices, and
-    always on empty ones."""
+    """Almost-uniform sampler over a slice handle: retries draws enough times
+    that the bottom symbol is returned with probability at most delta on
+    nonempty slices, and always on empty ones."""
 
-    def __init__(self, automaton: TreeAutomaton, n: int, config: Config):
-        self.handle = LanguageSampler(automaton, n, config)
-        self.retries = max(2, math.ceil(math.log2(1.0 / config.delta)) + 1)
+    def __init__(self, handle: LanguageSampler):
+        self.handle = handle
+        self.retries = max(2, math.ceil(math.log2(1.0 / handle.config.delta)) + 1)
 
     def draw(self):
         if self.handle.empty:
@@ -481,4 +477,4 @@ class FpausSampler:
 
 
 def fpaus(automaton: TreeAutomaton, n: int, config: Config) -> FpausSampler:
-    return FpausSampler(automaton, n, config)
+    return FpausSampler(LanguageSampler(automaton, n, config))

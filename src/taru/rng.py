@@ -96,20 +96,3 @@ class Rand:
             if x < acc:
                 return i
         return len(weights) - 1
-
-    def distinct_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices drawn uniformly from [0, n), in random order."""
-        if k > n:
-            raise ValueError("cannot draw more distinct indices than available")
-        if k * 3 >= n:
-            items = list(range(n))
-            self.shuffle(items)
-            return items[:k]
-        seen = set()
-        out = []
-        while len(out) < k:
-            i = self.below(n)
-            if i not in seen:
-                seen.add(i)
-                out.append(i)
-        return out

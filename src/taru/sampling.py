@@ -45,10 +45,6 @@ class ExtensionChoice:
     left: int
     right: int
 
-    @property
-    def is_leaf_fill(self) -> bool:
-        return self.left == 0
-
 
 def immediate_extensions(
     t: Tree, address: tuple[int, ...], alphabet

@@ -18,9 +18,7 @@ from typing import Iterable, Optional
 
 from .config import Config, NfaParams, resolve_nfa_params
 from .rng import Stream
-
-FAIL = "FAIL"
-EMPTY = "EMPTY"
+from .sampling import EMPTY, FAIL
 
 
 class OracleExhausted(RuntimeError):
@@ -245,16 +243,9 @@ class NfaDiagnostics:
     oracle_exhausted: int = 0
     rho_values: list = field(default_factory=list)
 
-    def merge_into(self, other: "NfaDiagnostics"):
-        other.clamped += self.clamped
-        other.walk_cap_hits += self.walk_cap_hits
-        other.sampler_failures += self.sampler_failures
-        other.oracle_exhausted += self.oracle_exhausted
-        other.rho_values.extend(self.rho_values)
-
 
 class _Frontier:
-    __slots__ = ("trans", "weights", "total", "rho", "order_rand")
+    __slots__ = ("trans", "weights", "total", "rho")
 
     def __init__(self, trans, weights, total):
         self.trans = trans

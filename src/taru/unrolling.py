@@ -5,12 +5,12 @@ state (s, i) derives precisely the size-i trees derivable from s.  A binary
 transition at level i splits into copies for every left size j in [1, i-2],
 the right size being i-j-1; leaf transitions live at level 1.  The leveled
 transitions are generated on demand, so nothing quadratic in the level count
-is materialized unless a test asks for the explicit automaton.
+is materialized.
 """
 
 from __future__ import annotations
 
-from .automata import TreeAutomaton, Transition
+from .automata import TreeAutomaton
 from .trees import Tree
 
 
@@ -42,46 +42,6 @@ class UnrolledAutomaton:
             for j in range(1, level - 1):
                 yield (symbol, j), per_symbol[symbol]
 
-    def transitions_at(self, state: str, level: int):
-        """Flat view: (symbol, left_size, left_state, right_state)."""
-        for (symbol, j), pairs in self.groups(state, level):
-            for q, r in pairs:
-                yield symbol, j, q, r
-
     def member(self, tree: Tree, state: str, level: int) -> bool:
         """tree is derivable from (state, level): right size and base state."""
         return tree.size == level and state in self.base.derive_states(tree)
-
-    def as_tree_automaton(self) -> TreeAutomaton:
-        """Materialized leveled automaton, states named 's@i'.  Test helper;
-        size grows with n^2 times the base transition count."""
-        states = {f"{s}@{i}" for s in self.base.states for i in range(1, self.n + 1)}
-        transitions = []
-        for s in self.base.states:
-            for a in self.base.leaf_symbols.get(s, ()):
-                transitions.append(Transition(f"{s}@1", a, ()))
-            for i in range(2, self.n + 1):
-                for a, j, q, r in self.transitions_at(s, i):
-                    transitions.append(
-                        Transition(f"{s}@{i}", a, (f"{q}@{j}", f"{r}@{i - 1 - j}"))
-                    )
-        return TreeAutomaton(
-            states, self.base.alphabet, transitions, f"{self.base.initial}@{self.n}", arity=2
-        )
-
-    def nonempty_levels(self) -> dict[tuple[str, int], bool]:
-        """Boolean reachability table: does (state, level) derive any tree?
-        Cheap exact dynamic program, used by tests and by completion-aware
-        run checks over partial trees."""
-        table: dict[tuple[str, int], bool] = {}
-        for s in self.base.states:
-            table[(s, 1)] = self.leaf_count(s) > 0
-        for i in range(2, self.n + 1):
-            for s in self.base.states:
-                alive = False
-                for _, j, q, r in self.transitions_at(s, i):
-                    if table.get((q, j)) and table.get((r, i - 1 - j)):
-                        alive = True
-                        break
-                table[(s, i)] = alive
-        return table

@@ -1,16 +1,21 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators, and exhaustive views of library objects, shared
+by the test modules."""
 
 from __future__ import annotations
 
 import random
 from itertools import product
 
-from taru.automata import TreeAutomaton
-from taru.cq import Atom, ConjunctiveQuery, Database, Var
+from typing import Optional
+
+from taru.automata import Transition, TreeAutomaton
+from taru.cq import Atom, ConjunctiveQuery, Database, ReductionResult, Var
 from taru.applications import DnnfCircuit, Gate, NestedWordAutomaton
+from taru.oracles import brute_slice
 from taru.sampling import immediate_extensions, min_hole
 from taru.snfa import ExplicitLabel, SuccinctNFA
 from taru.trees import Tree, hole, leaf
+from taru.unrolling import UnrolledAutomaton
 
 
 def random_ktree(rng: random.Random, alphabet, max_arity: int, size: int) -> Tree:
@@ -193,3 +198,53 @@ def random_nwa(rng: random.Random, n_states=3, n_symbols=2, n_hier=2,
         frozenset(hier), tuple(sorted(calls)), tuple(sorted(internals)),
         tuple(sorted(returns)),
     )
+
+
+# -- exhaustive views ------------------------------------------------------------
+
+
+def transitions_at(u: UnrolledAutomaton, state: str, level: int):
+    """Flat view of the leveled transitions out of (state, level):
+    (symbol, left_size, left_state, right_state)."""
+    for (symbol, j), pairs in u.groups(state, level):
+        for q, r in pairs:
+            yield symbol, j, q, r
+
+
+def as_tree_automaton(u: UnrolledAutomaton) -> TreeAutomaton:
+    """The materialized leveled automaton, states named 's@i'; its size grows
+    with n^2 times the base transition count."""
+    base = u.base
+    states = {f"{s}@{i}" for s in base.states for i in range(1, u.n + 1)}
+    transitions = []
+    for s in base.states:
+        for a in base.leaf_symbols.get(s, ()):
+            transitions.append(Transition(f"{s}@1", a, ()))
+        for i in range(2, u.n + 1):
+            for a, j, q, r in transitions_at(u, s, i):
+                transitions.append(
+                    Transition(f"{s}@{i}", a, (f"{q}@{j}", f"{r}@{i - 1 - j}"))
+                )
+    return TreeAutomaton(states, base.alphabet, transitions, f"{base.initial}@{u.n}", arity=2)
+
+
+def nonempty_levels(u: UnrolledAutomaton) -> dict[tuple[str, int], bool]:
+    """Boolean reachability table: does (state, level) derive any tree?"""
+    table: dict[tuple[str, int], bool] = {}
+    for s in u.base.states:
+        table[(s, 1)] = u.leaf_count(s) > 0
+    for i in range(2, u.n + 1):
+        for s in u.base.states:
+            table[(s, i)] = any(
+                table.get((q, j)) and table.get((r, i - 1 - j))
+                for _, j, q, r in transitions_at(u, s, i)
+            )
+    return table
+
+
+def answer_tree(result: ReductionResult, answer: tuple) -> Optional[Tree]:
+    """The unique accepted tree for an answer, or None if it is not one."""
+    for t in brute_slice(result.automaton, result.n, budget=None).trees:
+        if result.decode_answer(t) == tuple(answer):
+            return t
+    return None

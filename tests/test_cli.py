@@ -185,6 +185,20 @@ def test_oracle_cq(files, capsys):
     assert code == 0 and _json_out(out)["count"] == 1
 
 
+def _assert_budget_failure(code, out, err):
+    assert code == 3
+    assert err.startswith("failed:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_oracle_cq_budget_exit_3(files, capsys, monkeypatch):
+    q = files("q.txt", QUERY)
+    d = files("d.txt", FACTS)
+    monkeypatch.setenv("TARU_BUDGET", "1")
+    _assert_budget_failure(*_run(capsys, ["oracle", "--query", q, "--database", d]))
+
+
 def test_partition_count_modes(files, capsys):
     aut = files("cat.json", CATALAN)
     code, out, _ = _run(
@@ -255,23 +269,29 @@ def test_nwa_count_cli(files, capsys):
     assert code == 0 and _json_out(out)["count"] == 1
 
 
+ECSP = json.dumps(
+    {
+        "output": ["x", "y"],
+        "variables": ["x", "y", "z"],
+        "domain": ["0", "1"],
+        "constraints": [
+            {"scope": ["x", "z"], "tuples": [["0", "1"], ["1", "1"]]},
+            {"scope": ["y"], "tuples": [["0"], ["1"]]},
+        ],
+    }
+)
+
+
 def test_ecsp_count_cli(files, capsys):
-    ecsp = files(
-        "e.json",
-        json.dumps(
-            {
-                "output": ["x", "y"],
-                "variables": ["x", "y", "z"],
-                "domain": ["0", "1"],
-                "constraints": [
-                    {"scope": ["x", "z"], "tuples": [["0", "1"], ["1", "1"]]},
-                    {"scope": ["y"], "tuples": [["0"], ["1"]]},
-                ],
-            }
-        ),
-    )
+    ecsp = files("e.json", ECSP)
     code, out, _ = _run(capsys, ["ecsp-count", "--ecsp", ecsp, "--seed", "2"])
     assert code == 0
     assert abs(_json_out(out)["estimate"] - 4.0) <= 1.0
     code, out, _ = _run(capsys, ["oracle", "--ecsp", ecsp])
     assert code == 0 and _json_out(out)["count"] == 4
+
+
+def test_oracle_ecsp_budget_exit_3(files, capsys, monkeypatch):
+    ecsp = files("e.json", ECSP)
+    monkeypatch.setenv("TARU_BUDGET", "1")
+    _assert_budget_failure(*_run(capsys, ["oracle", "--ecsp", ecsp]))

@@ -15,7 +15,6 @@ from taru.cq import (
     NotAcyclic,
     QueryError,
     Var,
-    answer_tree,
     brute_cq_count,
     complete_decomposition,
     count_cq,
@@ -26,9 +25,10 @@ from taru.cq import (
     sample_cq,
     validate_decomposition,
 )
+from taru.engine import Engine
 from taru.oracles import brute_slice
 
-from genutil import random_cq_db
+from genutil import answer_tree, random_cq_db
 
 
 def triangle():
@@ -181,7 +181,7 @@ def test_reduction_parsimony_random():
 def test_answer_tree_round_trip(q1_d1):
     q1, d1 = q1_d1
     red = reduce_cq_to_ta(q1, d1, gyo_join_tree(q1))
-    t = answer_tree(red, q1, d1, gyo_join_tree(q1), ("b",))
+    t = answer_tree(red, ("b",))
     assert t is not None
     assert red.decode_answer(t) == ("b",)
 
@@ -247,10 +247,21 @@ def _pair_queries():
     return qa, qb, db
 
 
-def test_ucq_single_disjunct_matches_cq(q1_d1):
+def test_ucq_single_disjunct_matches_cq(q1_d1, monkeypatch):
+    """Also: the disjunct's count and its sampler come from one engine
+    build."""
+    builds = []
+    build = Engine.build
+
+    def counted_build(engine):
+        builds.append(engine)
+        return build(engine)
+
+    monkeypatch.setattr(Engine, "build", counted_build)
     q1, d1 = q1_d1
     res = count_ucq([q1], d1, None, Config(seed=1))
     assert res.estimate == pytest.approx(1.0, rel=0.25)
+    assert len(builds) == 1
 
 
 def test_ucq_disjoint_union():

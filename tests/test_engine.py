@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
-from taru.automata import TreeAutomaton
+from taru.automata import TreeAutomaton, encode_binary
 from taru.config import Config, resolve_engine_params
 from taru.engine import (
     BOT,
     Engine,
-    FpausSampler,
     LanguageSampler,
+    fpaus,
     fpras_bta,
     fpras_ta,
 )
@@ -135,6 +135,9 @@ def test_fpras_ta_routes_through_encoding(ternary_one_tree):
     res = fpras_ta(ternary_one_tree, 4, Config(seed=2))
     assert res.estimate == pytest.approx(1.0, rel=0.2)
     assert res.certificate.get("encoded") is True
+    handle = LanguageSampler(ternary_one_tree, 4, Config(seed=2))
+    direct = fpras_bta(encode_binary(ternary_one_tree), 7, Config(seed=2))
+    assert handle.count().estimate == direct.estimate
     assert fpras_ta(ternary_one_tree, 2, Config()).estimate == 0.0
 
 
@@ -185,12 +188,12 @@ def test_sampler_kary_decodes(ternary_one_tree):
 
 
 def test_fpaus_empty_slice_always_bottom(catalan):
-    sampler = FpausSampler(catalan, 6, Config())
+    sampler = fpaus(catalan, 6, Config())
     assert all(sampler.draw() == BOT for _ in range(50))
 
 
 def test_fpaus_bottom_rate(mixed):
-    sampler = FpausSampler(mixed, 9, Config(seed=3, delta=0.4))
+    sampler = fpaus(mixed, 9, Config(seed=3, delta=0.4))
     bottoms = 0
     draws = 300
     for _ in range(draws):
@@ -281,14 +284,13 @@ def test_overlap_fresh_path_statistical(mixed):
     assert abs(est - truth) <= 0.25 * truth
 
 
-def test_fpras_ta_on_binary_arity_input_equals_encoded_path(mixed):
-    """For a 2-ary input the general route is by definition the binary
-    estimator on the encoded automaton at 2n-1."""
+def test_fpras_ta_on_binary_arity_input_counts_at_size_n(mixed):
+    """A binary input is never encoded: the general route is the binary
+    estimator at the same size."""
     res_general = fpras_ta(mixed, 5, Config(seed=13))
-    from taru.automata import encode_binary
-
-    res_direct = fpras_bta(encode_binary(mixed), 9, Config(seed=13))
+    res_direct = fpras_bta(mixed, 5, Config(seed=13))
     assert res_general.estimate == res_direct.estimate
+    assert res_general.certificate == res_direct.certificate
 
 
 def test_estimate_partition_statistical_coverage(fig3, mixed):

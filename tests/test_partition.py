@@ -14,7 +14,7 @@ from taru.snfa import LabelOracle, OracleExhausted
 from taru.trees import Tree, hole, leaf, parse_tree
 from taru.unrolling import UnrolledAutomaton
 
-from genutil import random_binary_automaton, random_partial_tree
+from genutil import nonempty_levels, random_binary_automaton, random_partial_tree
 
 
 class EnumeratedTreeLabel(LabelOracle):
@@ -146,7 +146,7 @@ def test_extended_run_complete_matches_accepts(fig3):
 
 def test_extended_run_with_nonempty_filter_matches_completions(fig3):
     u = UnrolledAutomaton(fig3, 9)
-    alive = u.nonempty_levels()
+    alive = nonempty_levels(u)
     rng = random.Random(17)
     for _ in range(120):
         t = random_partial_tree(rng, {"a"}, 9, rng.randint(0, 4))

@@ -6,9 +6,8 @@ import pytest
 from taru.config import Config
 from taru.oracles import brute_nfa_count
 from taru.rng import Stream
+from taru.sampling import EMPTY, FAIL
 from taru.snfa import (
-    EMPTY,
-    FAIL,
     ExplicitLabel,
     NfaCounter,
     SuccinctNFA,

@@ -1,12 +1,14 @@
 from taru.oracles import brute_slice
 from taru.unrolling import UnrolledAutomaton
 
+from genutil import as_tree_automaton, nonempty_levels, transitions_at
+
 
 def test_level_one_only_leaf_transitions(catalan):
     u = UnrolledAutomaton(catalan, 1)
     assert u.leaf_count("r") == 1
-    assert list(u.transitions_at("r", 1)) == []
-    materialized = u.as_tree_automaton()
+    assert list(transitions_at(u, "r", 1)) == []
+    materialized = as_tree_automaton(u)
     assert all(
         len(t.children) == 0 for t in materialized.transitions
         if t.src.endswith("@1")
@@ -15,7 +17,7 @@ def test_level_one_only_leaf_transitions(catalan):
 
 def test_unrolled_slices_match_base(fig3):
     u = UnrolledAutomaton(fig3, 5)
-    leveled = u.as_tree_automaton()
+    leveled = as_tree_automaton(u)
     want = set(brute_slice(fig3, 5, budget=None).trees)
     got = set(brute_slice(leveled, 5, budget=None).trees)
     assert want == got
@@ -30,7 +32,7 @@ def test_transition_count_bound(fig3):
     n = 9
     u = UnrolledAutomaton(fig3, n)
     total = sum(
-        len(list(u.transitions_at(s, i)))
+        len(list(transitions_at(u, s, i)))
         for s in fig3.states
         for i in range(2, n + 1)
     )
@@ -39,10 +41,10 @@ def test_transition_count_bound(fig3):
 
 
 def test_nonempty_levels(catalan, fig3):
-    table = UnrolledAutomaton(catalan, 7).nonempty_levels()
+    table = nonempty_levels(UnrolledAutomaton(catalan, 7))
     assert table[("r", 1)] and table[("r", 7)]
     assert not table[("r", 2)]
-    table3 = UnrolledAutomaton(fig3, 7).nonempty_levels()
+    table3 = nonempty_levels(UnrolledAutomaton(fig3, 7))
     assert table3[("s", 7)] and not table3[("s", 5)]
     assert not table3[("q", 1)]
     for (state, level), alive in table3.items():
