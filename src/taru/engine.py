@@ -20,6 +20,7 @@ conditioned on the table (acceptance cancels the branch probabilities).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -132,6 +133,7 @@ class Engine:
         self.est_table: dict[tuple[str, int], float] = {}
         self._sketches: dict[tuple[str, int, int], list[Tree]] = {}
         self._ep_memo: dict = {}
+        self._expansions: dict = {}
         self.diag = EngineDiagnostics()
         self.epoch = 0
         self._built = False
@@ -239,13 +241,20 @@ class Engine:
         lpool = self.sketch(q, left)
         rpool = self.sketch(r, right)
 
-        def fresh(t1: Tree, t2: Tree) -> bool:
-            s1 = derive(t1)
-            s2 = derive(t2)
+        def fresh(s1: frozenset, s2: frozenset) -> bool:
             return not any(q2 in s1 and r2 in s2 for (q2, r2) in earlier)
 
         if len(lpool) * len(rpool) <= self.params.pair_cap:
-            good = sum(1 for t1 in lpool for t2 in rpool if fresh(t1, t2))
+            # Freshness depends on the pair only through the two derivable
+            # state sets, and pools repeat few of them.
+            lsets = Counter(derive(t) for t in lpool)
+            rsets = Counter(derive(t) for t in rpool)
+            good = sum(
+                m1 * m2
+                for s1, m1 in lsets.items()
+                for s2, m2 in rsets.items()
+                if fresh(s1, s2)
+            )
             return good / (len(lpool) * len(rpool))
         rand = self.root_stream.child(
             "overlap", self.epoch, state, level, symbol, left, pos
@@ -255,7 +264,7 @@ class Engine:
         for _ in range(trials):
             t1 = lpool[rand.below(len(lpool))]
             t2 = rpool[rand.below(len(rpool))]
-            if fresh(t1, t2):
+            if fresh(derive(t1), derive(t2)):
                 good += 1
         return good / trials
 
@@ -346,6 +355,7 @@ class Engine:
             est,
             stream,
             trace,
+            self._expansions,
         )
         if trace.clamped:
             self.diag.clamped_accepts += 1

@@ -87,24 +87,31 @@ def sample_tree(
     slice_estimate: float,
     stream: Stream,
     trace: Optional[SampleTrace] = None,
+    expansions: Optional[dict] = None,
 ):
     """One draw from the size-`level` trees of the language behind
-    `estimator`; returns a complete Tree, FAIL, or EMPTY."""
+    `estimator`; returns a complete Tree, FAIL, or EMPTY.
+
+    `expansions`, when given, keeps each partial tree's candidates across
+    draws, so repeated walks reuse the same tree objects."""
     if slice_estimate <= 0.0:
         return EMPTY
     rand = stream.rand()
     t = hole(level)
     phi = 1.0
     while not t.is_complete():
-        u = min_hole(t)
-        options = immediate_extensions(t, u, alphabet)
-        weights = [estimator(candidate) for _, candidate in options]
+        options = None if expansions is None else expansions.get(t)
+        if options is None:
+            options = [c for _, c in immediate_extensions(t, min_hole(t), alphabet)]
+            if expansions is not None:
+                expansions[t] = options
+        weights = [estimator(candidate) for candidate in options]
         total = sum(weights)
         if total <= 0.0:
             return FAIL
         k = rand.weighted_index(weights)
         phi *= weights[k] / total
-        t = options[k][1]
+        t = options[k]
         if trace is not None:
             trace.passes += 1
     if trace is not None:

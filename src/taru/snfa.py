@@ -379,7 +379,13 @@ class NfaCounter:
             wpool = self.word_pool(t.src)
             apool = label.pool()
             if apool and len(wpool) * len(apool) <= self.params.exhaustive_cap:
-                good = sum(1 for w in wpool for a in apool if fresh(w, a))
+                good = 0
+                for a in apool:
+                    holders = [e for e in earlier if self._label_member(e.label, a)]
+                    good += sum(
+                        1 for w in wpool
+                        if not any(self._word_member(w, e.src) for e in holders)
+                    )
                 return good / (len(wpool) * len(apool))
         draw_a = self._sampler(t.label, ("trial", state, pos))
         rand = self.stream.child("trial", state, pos).rand()

@@ -16,20 +16,24 @@ from typing import Iterator
 
 
 class Tree:
-    __slots__ = ("label", "children", "size", "full_size", "_hash", "_text")
+    __slots__ = ("label", "children", "size", "full_size", "_complete", "_hash", "_text")
 
     def __init__(self, label, children: tuple = ()):
-        if isinstance(label, int) and children:
+        is_hole = isinstance(label, int)
+        if is_hole and children:
             raise ValueError("holes can appear only at the leaves")
         self.label = label
         self.children = children
         size = 1
-        full = label if isinstance(label, int) else 1
+        full = label if is_hole else 1
+        complete = not is_hole
         for c in children:
             size += c.size
             full += c.full_size
+            complete = complete and c._complete
         self.size = size
         self.full_size = full
+        self._complete = complete
         self._hash = hash((label, children))
         self._text = None
 
@@ -57,9 +61,7 @@ class Tree:
         return isinstance(self.label, int)
 
     def is_complete(self) -> bool:
-        if isinstance(self.label, int):
-            return False
-        return all(c.is_complete() for c in self.children)
+        return self._complete
 
     def node(self, address: tuple[int, ...]) -> "Tree":
         t = self

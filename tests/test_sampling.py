@@ -106,6 +106,22 @@ def test_sample_tree_unique_language():
     assert seen == {target}
 
 
+def test_sample_tree_expansion_memo_changes_no_draw():
+    """Draws that share an expansion memo equal draws made without one."""
+
+    def estimator(t):
+        return float(t.size)
+
+    expansions = {}
+    for i in range(30):
+        plain = sample_tree(7, {"a", "b"}, estimator, 50.0, Stream.from_seed(i))
+        shared = sample_tree(
+            7, {"a", "b"}, estimator, 50.0, Stream.from_seed(i), None, expansions
+        )
+        assert shared == plain
+    assert expansions
+
+
 def test_sample_tree_pass_count_bookkeeping():
     """One loop pass per node: a size-i draw makes exactly i expansions, and
     the branch product matches the recorded ratios."""
