@@ -23,7 +23,6 @@ from .engine import (
     fpaus,
     fpras_bta,
     fpras_ta,
-    sample_language,
 )
 from .oracles import (
     BudgetExceeded,

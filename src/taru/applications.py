@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automata import TreeAutomaton, merge_initial_states
 from .config import Config
@@ -27,7 +27,7 @@ from .cq import (
     count_cq,
 )
 from .engine import CountResult, fpras_bta
-from .oracles import BudgetExceeded
+from .oracles import DEFAULT_BUDGET, BudgetExceeded
 from .trees import Tree, leaf
 
 
@@ -211,10 +211,17 @@ class DnnfCircuit:
         return values[self.output]
 
 
-def truth_table_count(circuit: DnnfCircuit, variables=None) -> int:
+def truth_table_count(
+    circuit: DnnfCircuit, variables=None, budget: int | None = DEFAULT_BUDGET
+) -> int:
     """Exact model count over the given variable set (defaults to the
-    circuit's variables)."""
+    circuit's variables); refuses tables of more than `budget` rows."""
     names = sorted(variables if variables is not None else circuit.variables())
+    if budget is not None and 2 ** len(names) > budget:
+        raise BudgetExceeded(
+            f"truth table over {len(names)} variables has {2 ** len(names)} "
+            f"rows, above the budget of {budget}"
+        )
     count = 0
     for values in product((False, True), repeat=len(names)):
         if circuit.evaluate(dict(zip(names, values))):
@@ -591,8 +598,9 @@ def nwa_to_bta(nwa: NestedWordAutomaton) -> TreeAutomaton:
     return merge_initial_states(states, alphabet, transitions, initials, arity=2)
 
 
-def enumerate_nested_words(alphabet, n: int) -> list[NestedWord]:
-    """All nested words of length n over the alphabet (test oracle)."""
+def enumerate_nested_words(alphabet, n: int) -> Iterator[NestedWord]:
+    """All nested words of length n over the alphabet, one at a time (test
+    oracle)."""
     alphabet = sorted(alphabet)
 
     def structures(m: int) -> list[tuple]:
@@ -621,17 +629,27 @@ def enumerate_nested_words(alphabet, n: int) -> list[NestedWord]:
                 pos += 1
         return pos
 
-    words = []
     for shape in structures(n):
         pairs: list = []
         positions(shape, 1, pairs)
         for letters in product(alphabet, repeat=n):
-            words.append(NestedWord(tuple(letters), frozenset(pairs)))
-    return words
+            yield NestedWord(tuple(letters), frozenset(pairs))
 
 
-def brute_nwa_count(nwa: NestedWordAutomaton, n: int) -> int:
-    return sum(1 for w in enumerate_nested_words(nwa.alphabet, n) if nwa_accepts(nwa, w))
+def brute_nwa_count(
+    nwa: NestedWordAutomaton, n: int, budget: int | None = DEFAULT_BUDGET
+) -> int:
+    """Exact count of accepted words of length n; refuses to test more than
+    `budget` words."""
+    count = 0
+    for seen, w in enumerate(enumerate_nested_words(nwa.alphabet, n), 1):
+        if budget is not None and seen > budget:
+            raise BudgetExceeded(
+                f"nested words of length {n} number more than the budget of {budget}"
+            )
+        if nwa_accepts(nwa, w):
+            count += 1
+    return count
 
 
 def count_nwa(nwa: NestedWordAutomaton, n: int, config: Config) -> CountResult:

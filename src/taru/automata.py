@@ -93,7 +93,7 @@ class TreeAutomaton:
                 leaf_symbols.setdefault(t.src, []).append(t.symbol)
             elif len(t.children) == 2:
                 binary_by_src.setdefault(t.src, []).append(t)
-        self._by_symbol = by_symbol
+        self.by_symbol = by_symbol
         self.leaf_symbols = leaf_symbols
         self.binary_by_src = binary_by_src
         self._derive_cache: dict[Tree, frozenset[str]] = {}
@@ -134,7 +134,7 @@ class TreeAutomaton:
             )
         child_sets = [self.derive_states(c) for c in tree.children]
         out = set()
-        for t in self._by_symbol.get((tree.label, len(tree.children)), ()):
+        for t in self.by_symbol.get((tree.label, len(tree.children)), ()):
             if all(t.children[i] in child_sets[i] for i in range(len(child_sets))):
                 out.add(t.src)
         result = frozenset(out)
@@ -158,7 +158,7 @@ class TreeAutomaton:
         def assign(addr: tuple[int, ...], node: Tree, state: str):
             run[addr] = state
             child_sets = [self.derive_states(c) for c in node.children]
-            for t in self._by_symbol.get((node.label, len(node.children)), ()):
+            for t in self.by_symbol.get((node.label, len(node.children)), ()):
                 if t.src != state:
                     continue
                 if all(t.children[i] in child_sets[i] for i in range(len(child_sets))):
@@ -180,7 +180,7 @@ class TreeAutomaton:
             if key in memo:
                 return memo[key]
             total = 0
-            for t in self._by_symbol.get((node.label, len(node.children)), ()):
+            for t in self.by_symbol.get((node.label, len(node.children)), ()):
                 if t.src != s:
                     continue
                 prod = 1

@@ -425,11 +425,11 @@ def _cmd_oracle(args, started) -> int:
         _emit({"count": count, "mode": "oracle"}, f"{count}", started)
         return 0
     if args.circuit:
-        count = truth_table_count(circuit_from_json(_read(args.circuit)))
+        count = truth_table_count(circuit_from_json(_read(args.circuit)), budget=budget)
         _emit({"count": count, "mode": "oracle"}, f"{count}", started)
         return 0
     if args.nwa and args.n is not None:
-        count = brute_nwa_count(nwa_from_json(_read(args.nwa)), args.n)
+        count = brute_nwa_count(nwa_from_json(_read(args.nwa)), args.n, budget=budget)
         _emit({"count": count, "mode": "oracle", "n": args.n}, f"{count}", started)
         return 0
     raise UsageError("oracle needs one of: --automaton/--n, --nfa/--k, "

@@ -9,7 +9,8 @@ Two parameter profiles are supported.
 
 * "theory" instantiates the guarantee-carrying formulas verbatim, including
   the epsilon clamp.  The resulting counts are astronomically large for any
-  nontrivial input; sketches are materialized lazily, so the profile is
+  nontrivial input.  Sketches are filled when first read under both profiles,
+  and the theory profile also fills them one entry at a time, so it is
   executable exactly on instances whose estimates never demand a sample
   (every union of derivations is a single product).
 """

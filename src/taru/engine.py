@@ -8,13 +8,16 @@ not already produced by an earlier channel with the same symbol and split;
 channels with different symbols or splits never overlap, so only true
 ambiguity is ever sampled.
 
-Alongside the estimates the engine stores, per (state, level), a sketch of
-uniform sample trees.  Sketches supply the overlap measurements and back the
-tree-language oracles of the completion-counting NFAs used while sampling.
-Samples are drawn by growing partial trees top down;
-the branch estimates come from the completion counter and are memoized per
-(state, level, partial tree), which makes each accepted draw exactly uniform
-conditioned on the table (acceptance cancels the branch probabilities).
+Alongside the estimates the engine keeps, per (state, level), a sketch of
+uniform sample trees, filled when first read.  Sketches supply the overlap
+measurements and back the tree-language oracles of the completion-counting
+NFAs used while sampling; their entries come from structurally keyed streams,
+so when a sketch is filled changes none of its trees.  Samples are drawn by
+growing partial trees top down; the branch estimates come from the completion
+counter and are memoized per (state, level, partial tree), which makes each
+accepted draw exactly uniform conditioned on the table (acceptance cancels the
+branch probabilities).  A partial tree with no run through non-empty cells
+is given weight zero without building its NFA.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 
 from .automata import TreeAutomaton, decode_tree, encode_binary
 from .config import Config, EngineParams, resolve_engine_params
-from .partition import build_partition_nfa
+from .partition import build_partition_nfa, extended_run_exists
 from .rng import Stream
 from .sampling import EMPTY, FAIL, SampleTrace, sample_tree
 from .snfa import LabelOracle, NfaCounter, OracleExhausted
@@ -198,14 +201,13 @@ class Engine:
             if self.params.refresh_epochs:
                 self.epoch = i
                 self._ep_memo.clear()
+                self._expansions.clear()
+            # Sketches are filled on first read, not here.  The overlaps
+            # read them level by level, so a fill mostly finds the lower
+            # cells it needs already filled, and nested fills stay a few
+            # deep as n grows.
             for s in sorted(self.base.states):
                 self.est_table[(s, i)] = self._estimate_level_state(s, i)
-            if not self.params.refresh_epochs and 2 <= i <= self.n - 2:
-                # Materialize eagerly in level order so later levels never
-                # recurse more than one level deep for their samples.
-                for s in sorted(self.base.states):
-                    if self.est_table[(s, i)] > 0.0:
-                        self.sketch(s, i)
         self._built = True
         return self.estimate(self.base.initial, self.n)
 
@@ -317,6 +319,13 @@ class Engine:
         hit = self._ep_memo.get(key)
         if hit is not None:
             return hit
+        # A level estimate is positive exactly when its cell is non-empty, so
+        # a tree with no run through non-empty holes has no completion.
+        if not extended_run_exists(
+            self.unrolled, t, state, lambda s, h: self.estimate(s, h) > 0.0
+        ):
+            self._ep_memo[key] = 0.0
+            return 0.0
         built = build_partition_nfa(
             self.unrolled, t, state, lambda s, i: _SketchLabel(self, s, i)
         )
@@ -355,7 +364,7 @@ class Engine:
             est,
             stream,
             trace,
-            self._expansions,
+            self._expansions.setdefault((state, level), {}),
         )
         if trace.clamped:
             self.diag.clamped_accepts += 1
@@ -459,10 +468,6 @@ def fpras_bta(automaton: TreeAutomaton, n: int, config: Config) -> CountResult:
     """Randomized (1 +- epsilon) slice count for a binary tree automaton."""
     automaton.require_binary()
     return fpras_ta(automaton, n, config)
-
-
-def sample_language(automaton: TreeAutomaton, n: int, config: Config) -> LanguageSampler:
-    return LanguageSampler(automaton, n, config)
 
 
 class FpausSampler:

@@ -115,13 +115,11 @@ def up_states(
         )
     else:
         kids = [up_states(unrolled, c, hole_filter, memo) for c in t.children]
-        found = set()
-        for tr in base.transitions:
-            if tr.symbol != t.label or len(tr.children) != len(kids):
-                continue
-            if all(tr.children[i] in kids[i] for i in range(len(kids))):
-                found.add(tr.src)
-        result = frozenset(found)
+        result = frozenset(
+            tr.src
+            for tr in base.by_symbol.get((t.label, len(kids)), ())
+            if all(tr.children[i] in kids[i] for i in range(len(kids)))
+        )
     memo[t] = result
     return result
 
@@ -162,9 +160,7 @@ def _pair_reach(
         if idx != step:
             others.append((idx - 1, up_states(unrolled, node.children[idx - 1], None, up_memo)))
     found = set()
-    for tr in base.transitions:
-        if tr.symbol != node.label or len(tr.children) != len(node.children):
-            continue
+    for tr in base.by_symbol.get((node.label, len(node.children)), ()):
         if any(tr.children[i] not in up for i, up in others):
             continue
         onpath = tr.children[step - 1]
@@ -245,9 +241,7 @@ def build_partition_nfa(
         by_child: dict[str, set] = {}
         for c, q2 in seg:
             by_child.setdefault(c, set()).add(q2)
-        for tr in base.transitions:
-            if tr.symbol != node.label or len(tr.children) != 2:
-                continue
+        for tr in base.by_symbol.get((node.label, 2), ()):
             r = tr.children[hole_step - 1]
             onpath = tr.children[path_step - 1]
             for q2 in sorted(by_child.get(onpath, ())):
@@ -269,9 +263,7 @@ def build_partition_nfa(
         hole_step = path.holes[last][len(v)]
         other_step = 3 - hole_step
         other_up = up_states(unrolled, node.children[other_step - 1], None, up_memo)
-        for tr in base.transitions:
-            if tr.symbol != node.label or len(tr.children) != 2:
-                continue
+        for tr in base.by_symbol.get((node.label, 2), ()):
             if tr.children[other_step - 1] not in other_up:
                 continue
             r = tr.children[hole_step - 1]

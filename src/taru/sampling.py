@@ -92,21 +92,28 @@ def sample_tree(
     """One draw from the size-`level` trees of the language behind
     `estimator`; returns a complete Tree, FAIL, or EMPTY.
 
-    `expansions`, when given, keeps each partial tree's candidates across
-    draws, so repeated walks reuse the same tree objects."""
+    Candidates of weight zero are dropped: `weighted_index` never picks them
+    and they add nothing to the total.  `expansions`, when given, keeps each
+    partial tree's live candidates, their weights and total across draws, so
+    it must only be shared between draws with the same estimator."""
     if slice_estimate <= 0.0:
         return EMPTY
     rand = stream.rand()
     t = hole(level)
     phi = 1.0
     while not t.is_complete():
-        options = None if expansions is None else expansions.get(t)
-        if options is None:
-            options = [c for _, c in immediate_extensions(t, min_hole(t), alphabet)]
+        live = None if expansions is None else expansions.get(t)
+        if live is None:
+            options, weights = [], []
+            for _, c in immediate_extensions(t, min_hole(t), alphabet):
+                w = estimator(c)
+                if w > 0.0:
+                    options.append(c)
+                    weights.append(w)
+            live = (options, weights, sum(weights))
             if expansions is not None:
-                expansions[t] = options
-        weights = [estimator(candidate) for candidate in options]
-        total = sum(weights)
+                expansions[t] = live
+        options, weights, total = live
         if total <= 0.0:
             return FAIL
         k = rand.weighted_index(weights)

@@ -288,7 +288,7 @@ def test_internal_only_nwa_is_an_nfa():
 def test_nested_word_enumeration_counts():
     # Unit structures over one letter: 1, 1, 2, 4, 9, 21, 51 (Motzkin).
     for n, count in enumerate([1, 1, 2, 4, 9, 21, 51]):
-        assert len(enumerate_nested_words(["a"], n)) == count
+        assert len(list(enumerate_nested_words(["a"], n))) == count
 
 
 def test_random_nwas_parsimonious():

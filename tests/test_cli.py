@@ -216,24 +216,24 @@ def test_partition_count_modes(files, capsys):
     assert abs(_json_out(out)["estimate"] - 2.0) <= 0.5
 
 
+CIRCUIT = json.dumps(
+    {
+        "gates": [
+            {"id": "x", "type": "lit", "var": "x"},
+            {"id": "y", "type": "lit", "var": "y"},
+            {"id": "nx", "type": "lit", "var": "x", "sign": False},
+            {"id": "z", "type": "lit", "var": "z"},
+            {"id": "g1", "type": "and", "inputs": ["x", "y"]},
+            {"id": "g2", "type": "and", "inputs": ["nx", "z"]},
+            {"id": "g0", "type": "or", "inputs": ["g1", "g2"]},
+        ],
+        "output": "g0",
+    }
+)
+
+
 def test_dnnf_count_cli(files, capsys):
-    circuit = files(
-        "c.json",
-        json.dumps(
-            {
-                "gates": [
-                    {"id": "x", "type": "lit", "var": "x"},
-                    {"id": "y", "type": "lit", "var": "y"},
-                    {"id": "nx", "type": "lit", "var": "x", "sign": False},
-                    {"id": "z", "type": "lit", "var": "z"},
-                    {"id": "g1", "type": "and", "inputs": ["x", "y"]},
-                    {"id": "g2", "type": "and", "inputs": ["nx", "z"]},
-                    {"id": "g0", "type": "or", "inputs": ["g1", "g2"]},
-                ],
-                "output": "g0",
-            }
-        ),
-    )
+    circuit = files("c.json", CIRCUIT)
     vtree = files(
         "v.json",
         json.dumps({"left": {"left": {"var": "x"}, "right": {"var": "y"}},
@@ -246,27 +246,39 @@ def test_dnnf_count_cli(files, capsys):
     assert code == 0 and _json_out(out)["count"] == 4
 
 
+def test_oracle_circuit_budget_exit_3(files, capsys, monkeypatch):
+    circuit = files("c.json", CIRCUIT)
+    monkeypatch.setenv("TARU_BUDGET", "1")
+    _assert_budget_failure(*_run(capsys, ["oracle", "--circuit", circuit]))
+
+
+NWA = json.dumps(
+    {
+        "states": ["q0", "q1"],
+        "alphabet": ["a", "b"],
+        "initial": ["q0"],
+        "final": ["q1"],
+        "hierarchical": [],
+        "call": [],
+        "internal": [["q0", "a", "q0"], ["q0", "b", "q1"]],
+        "return": [],
+    }
+)
+
+
 def test_nwa_count_cli(files, capsys):
-    nwa = files(
-        "w.json",
-        json.dumps(
-            {
-                "states": ["q0", "q1"],
-                "alphabet": ["a", "b"],
-                "initial": ["q0"],
-                "final": ["q1"],
-                "hierarchical": [],
-                "call": [],
-                "internal": [["q0", "a", "q0"], ["q0", "b", "q1"]],
-                "return": [],
-            }
-        ),
-    )
+    nwa = files("w.json", NWA)
     code, out, _ = _run(capsys, ["nwa-count", "--nwa", nwa, "--n", "3", "--seed", "1"])
     assert code == 0
     assert abs(_json_out(out)["estimate"] - 1.0) <= 0.3
     code, out, _ = _run(capsys, ["oracle", "--nwa", nwa, "--n", "3"])
     assert code == 0 and _json_out(out)["count"] == 1
+
+
+def test_oracle_nwa_budget_exit_3(files, capsys, monkeypatch):
+    nwa = files("w.json", NWA)
+    monkeypatch.setenv("TARU_BUDGET", "1")
+    _assert_budget_failure(*_run(capsys, ["oracle", "--nwa", nwa, "--n", "6"]))
 
 
 ECSP = json.dumps(

@@ -1,10 +1,13 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
+import taru.engine
 from taru.automata import TreeAutomaton, encode_binary
 from taru.config import Config, resolve_engine_params
+from taru.cq import sample_cq
 from taru.engine import (
     BOT,
     Engine,
@@ -317,3 +320,107 @@ def test_estimate_partition_statistical_coverage(fig3, mixed):
             if abs(est - truth) <= 0.25 * truth:
                 hits += 1
         assert hits >= 0.9 * runs, f"{partial.text()}: {hits}/{runs}"
+
+
+def test_seed_one_estimates_and_draws_are_pinned(fig3, mixed):
+    """Speed-ups must leave every estimate and every drawn tree unchanged
+    for the same seed; these are the seed-1 values."""
+    assert fpras_bta(fig3, 13, Config(seed=1)).estimate == 100.0
+    assert fpras_bta(mixed, 11, Config(seed=1)).estimate == 22.796875
+    pinned = [
+        (fig3, 13, [
+            "a(a(a,a(a,a)),a(a(a(a,a),a),a))",
+            "a(a,a(a(a,a(a(a,a),a)),a(a,a)))",
+            "a(a(a,a(a,a)),a(a(a,a(a,a)),a))",
+        ]),
+        (mixed, 11, [
+            "a(a(a,a),a(a,a(a(a,a),a)))",
+            "a(a(a,a(a(a,a),a)),a(a,a))",
+            "a(a(a,a(a(a(a,a),a),a)),a)",
+        ]),
+    ]
+    for automaton, n, texts in pinned:
+        sampler = fpaus(automaton, n, Config(seed=1))
+        assert [sampler.draw().text() for _ in texts] == texts
+
+
+ALL_AMBIGUOUS = TreeAutomaton(
+    {"x", "y"},
+    {"a"},
+    [(p, "a", (c, c)) for p in "xy" for c in "xy"] + [("x", "a", ()), ("y", "a", ())],
+    "x",
+)
+
+
+def _deepest_sketch_fill(monkeypatch, automaton, n) -> int:
+    """Most Python frames between this call and a sketch-entry draw while
+    counting the slice."""
+    top = sys._getframe()
+    depths = [0]
+    draw = Engine._draw_sketch_entry
+
+    def recording(self, *args):
+        frame, depth = sys._getframe(), 0
+        while frame is not top:
+            frame, depth = frame.f_back, depth + 1
+        depths.append(depth)
+        return draw(self, *args)
+
+    monkeypatch.setattr(Engine, "_draw_sketch_entry", recording)
+    fpras_bta(automaton, n, Config(seed=1))
+    monkeypatch.setattr(Engine, "_draw_sketch_entry", draw)
+    return max(depths)
+
+
+def test_lazy_sketch_fills_do_not_nest_deeper_with_n(monkeypatch, fig3):
+    """Sketches are filled when first read.  The build reads them in level
+    order, so a larger slice adds at most one nested fill (8 frames)."""
+    for automaton, small, large in ((fig3, 15, 19), (ALL_AMBIGUOUS, 9, 11)):
+        shallow = _deepest_sketch_fill(monkeypatch, automaton, small)
+        deep = _deepest_sketch_fill(monkeypatch, automaton, large)
+        assert shallow > 0
+        assert deep - shallow <= 8
+
+
+def test_cq_sampling_builds_no_empty_partition_nfa(monkeypatch, q1_d1):
+    """Dead candidates are pruned before any partition NFA is built."""
+    built = []
+    build = taru.engine.build_partition_nfa
+
+    def recording(*args):
+        out = build(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(taru.engine, "build_partition_nfa", recording)
+    q1, d1 = q1_d1
+    sampler = sample_cq(q1, d1, None, Config(seed=1))
+    for _ in range(10):
+        sampler.draw()
+    assert built
+    assert all(b.nfa.transitions for b in built)
+
+
+def test_pruned_partial_trees_have_zero_nfa_estimates(monkeypatch, fig3):
+    """Every partial tree the run check prunes also gets exactly 0.0 from
+    its completion-counting NFA."""
+    pruned = set()
+    check = taru.engine.extended_run_exists
+
+    def recording(unrolled, t, state, hole_filter):
+        ok = check(unrolled, t, state, hole_filter)
+        if not ok:
+            pruned.add((t, state))
+        return ok
+
+    monkeypatch.setattr(taru.engine, "extended_run_exists", recording)
+    sampler = fpaus(fig3, 11, Config(seed=1))
+    for _ in range(50):
+        sampler.draw()
+    assert pruned
+
+    monkeypatch.setattr(taru.engine, "extended_run_exists", lambda *args: True)
+    unpruned = Engine(fig3, 11, Config(seed=1))
+    unpruned.build()
+    for t, state in pruned:
+        assert unpruned.estimate_partition(t, state, t.full_size) == 0.0

@@ -106,20 +106,47 @@ def test_sample_tree_unique_language():
     assert seen == {target}
 
 
+def _unpruned_sample_tree(level, alphabet, estimator, slice_estimate, stream):
+    """sample_tree's walk with zero-weight candidates left in."""
+    rand = stream.rand()
+    t = hole(level)
+    phi = 1.0
+    while not t.is_complete():
+        options = [c for _, c in immediate_extensions(t, min_hole(t), alphabet)]
+        weights = [estimator(c) for c in options]
+        if sum(weights) <= 0.0:
+            return FAIL
+        k = rand.weighted_index(weights)
+        phi *= weights[k] / sum(weights)
+        t = options[k]
+    return t if rand.bernoulli(min(1.0, 1.0 / (2.0 * phi * slice_estimate))) else FAIL
+
+
 def test_sample_tree_expansion_memo_changes_no_draw():
-    """Draws that share an expansion memo equal draws made without one."""
+    """Draws that share an expansion memo equal draws made without one, and
+    dropping zero-weight candidates changes no draw."""
 
     def estimator(t):
         return float(t.size)
 
-    expansions = {}
-    for i in range(30):
-        plain = sample_tree(7, {"a", "b"}, estimator, 50.0, Stream.from_seed(i))
-        shared = sample_tree(
-            7, {"a", "b"}, estimator, 50.0, Stream.from_seed(i), None, expansions
-        )
-        assert shared == plain
-    assert expansions
+    def pruning_estimator(t):
+        # Zero for every b-rooted candidate and some others.
+        return 0.0 if t.label == "b" or t.size % 4 == 0 else float(t.size)
+
+    for est in (estimator, pruning_estimator):
+        expansions = {}
+        for i in range(30):
+            plain = sample_tree(7, {"a", "b"}, est, 50.0, Stream.from_seed(i))
+            shared = sample_tree(
+                7, {"a", "b"}, est, 50.0, Stream.from_seed(i), None, expansions
+            )
+            assert shared == plain
+            assert plain == _unpruned_sample_tree(
+                7, {"a", "b"}, est, 50.0, Stream.from_seed(i)
+            )
+        assert expansions
+    assert any(len(options) < len(immediate_extensions(t, min_hole(t), {"a", "b"}))
+               for t, (options, _, _) in expansions.items())
 
 
 def test_sample_tree_pass_count_bookkeeping():
