@@ -51,6 +51,7 @@ class EngineDiagnostics:
     nfa_clamped: int = 0
     nfa_walk_caps: int = 0
     nfa_exhausted: int = 0
+    nfa_sampler_failures: int = 0
 
     def as_warnings(self) -> dict:
         return {
@@ -59,6 +60,7 @@ class EngineDiagnostics:
             "nfa_clamped": self.nfa_clamped,
             "nfa_walk_caps": self.nfa_walk_caps,
             "nfa_exhausted": self.nfa_exhausted,
+            "nfa_sampler_failures": self.nfa_sampler_failures,
         }
 
 
@@ -66,7 +68,8 @@ class _SketchLabel(LabelOracle):
     """Tree-language oracle for (state, level), answered from the engine
     table: membership by the automaton, size by the level estimate, samples
     by replaying the stored sketch in a per-consumer order without
-    replacement."""
+    replacement.  A sketch of one repeated tree is replayed unshuffled, since
+    every order gives the same draws."""
 
     def __init__(self, engine: "Engine", state: str, level: int):
         self.key = f"T:{state}:{level}"
@@ -110,6 +113,16 @@ class _SketchLabel(LabelOracle):
 
             return draw_fresh
         pool = engine.sketch(state, level)
+        if engine.sketch_is_constant(state, level):
+            left = [len(pool)]
+
+            def draw_constant():
+                if not left[0]:
+                    raise OracleExhausted(self.key)
+                left[0] -= 1
+                return pool[0]
+
+            return draw_constant
         order = list(range(len(pool)))
         stream.rand().shuffle(order)
         pos = [0]
@@ -135,6 +148,7 @@ class Engine:
         self.root_stream = Stream.from_seed(config.seed).child("engine")
         self.est_table: dict[tuple[str, int], float] = {}
         self._sketches: dict[tuple[str, int, int], list[Tree]] = {}
+        self._constant: dict[tuple[str, int, int], bool] = {}
         self._ep_memo: dict = {}
         self._expansions: dict = {}
         self.diag = EngineDiagnostics()
@@ -157,6 +171,16 @@ class Engine:
         while len(pool) < target:
             pool.append(self._draw_sketch_entry(state, level, len(pool)))
         return pool
+
+    def sketch_is_constant(self, state: str, level: int) -> bool:
+        """Whether every entry of the full sketch is the same tree."""
+        key = (state, level, self.epoch)
+        hit = self._constant.get(key)
+        if hit is None:
+            pool = self.sketch(state, level)
+            hit = all(t == pool[0] for t in pool)
+            self._constant[key] = hit
+        return hit
 
     def sketch_entry(self, state: str, level: int, index: int) -> Tree:
         key = (state, level, self.epoch)
@@ -343,6 +367,7 @@ class Engine:
             self.diag.nfa_clamped += counter.diag.clamped
             self.diag.nfa_walk_caps += counter.diag.walk_cap_hits
             self.diag.nfa_exhausted += counter.diag.oracle_exhausted
+            self.diag.nfa_sampler_failures += counter.diag.sampler_failures
         self._ep_memo[key] = value
         return value
 
@@ -355,6 +380,8 @@ class Engine:
             return EMPTY
         if level == 1:
             symbols = sorted(set(self.base.leaf_symbols.get(state, ())))
+            if len(symbols) == 1:
+                return leaf(symbols[0])  # forced: reads no randomness
             return leaf(symbols[stream.rand().below(len(symbols))])
         trace = SampleTrace()
         result = sample_tree(

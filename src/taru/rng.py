@@ -5,6 +5,16 @@ one root seed.  Streams are split by structural labels (state names, levels,
 draw indices, ...), so the value produced at any point is a function of the
 root seed and the derivation path alone, never of evaluation order.  This is
 what makes whole runs reproducible and order independent.
+
+A child's key is sha256(parent key + "/" + label + "/" + label ...).  It is
+computed only when rand() needs it, or when a descendant's key does, so a
+stream that nothing draws from costs no hash; the hashed bytes, and so every
+key, are the same as if each child had been hashed when it was made.
+
+Since a stream's values depend on its path alone, and each consumer reads
+only the stream derived for it, a consumer whose outcome is forced (one
+symbol to choose from, one distinct tree to replay) skips rand() altogether:
+no other value can change.
 """
 
 from __future__ import annotations
@@ -14,6 +24,12 @@ import random
 
 
 def _encode_label(label) -> bytes:
+    # Exact str and int first, the common labels; type(True) is bool.
+    kind = type(label)
+    if kind is str:
+        return b"s" + label.encode("utf-8")
+    if kind is int:
+        return b"i" + str(label).encode("ascii")
     if isinstance(label, str):
         return b"s" + label.encode("utf-8")
     if isinstance(label, bool):
@@ -28,21 +44,36 @@ def _encode_label(label) -> bytes:
 class Stream:
     """A node in the derivation tree of random streams."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_parent", "_labels", "_k")
 
-    def __init__(self, key: bytes):
-        self._key = key
+    def __init__(self, key: bytes | None, parent: Stream | None = None,
+                 labels: tuple = ()):
+        self._k = key
+        self._parent = parent
+        self._labels = labels
 
     @classmethod
     def from_seed(cls, seed: int) -> "Stream":
         return cls(hashlib.sha256(b"taru-root:" + str(seed).encode("ascii")).digest())
 
+    @property
+    def _key(self) -> bytes:
+        if self._k is None:
+            # Resolve the chain of unhashed ancestors from the top down.
+            chain = [self]
+            while chain[-1]._parent._k is None:
+                chain.append(chain[-1]._parent)
+            for node in reversed(chain):
+                h = hashlib.sha256(node._parent._k)
+                for label in node._labels:
+                    h.update(b"/")
+                    h.update(_encode_label(label))
+                node._k = h.digest()
+                node._parent = None
+        return self._k
+
     def child(self, *labels) -> "Stream":
-        h = hashlib.sha256(self._key)
-        for label in labels:
-            h.update(b"/")
-            h.update(_encode_label(label))
-        return Stream(h.digest())
+        return Stream(None, self, labels)
 
     def rand(self) -> "Rand":
         return Rand(int.from_bytes(self._key, "big"))
@@ -76,8 +107,10 @@ class Rand:
         return self._r.random() < p
 
     def shuffle(self, items: list) -> None:
+        # below(i + 1) written out, without a method call per element.
+        random = self._r.random
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            j = min(int(random() * (i + 1)), i)
             items[i], items[j] = items[j], items[i]
 
     def weighted_index(self, weights) -> int:

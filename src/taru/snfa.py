@@ -13,6 +13,7 @@ through several channels with a rejection ratio computed from the sketches.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -81,8 +82,11 @@ class ExplicitLabel(LabelOracle):
         return float(max(1, len(self.elements).bit_length()))
 
     def new_sampler(self, stream: Stream):
-        rand = stream.rand()
         elems = self.elements
+        if len(elems) == 1:
+            # A forced draw reads no randomness.
+            return lambda: elems[0]
+        rand = stream.rand()
 
         def draw():
             return elems[rand.below(len(elems))]
@@ -379,12 +383,18 @@ class NfaCounter:
             wpool = self.word_pool(t.src)
             apool = label.pool()
             if apool and len(wpool) * len(apool) <= self.params.exhaustive_cap:
+                # Freshness depends on a symbol only through the sources of
+                # the earlier transitions whose labels hold it, and the pool
+                # shares few such source tuples.
+                groups = Counter(
+                    tuple(e.src for e in earlier if self._label_member(e.label, a))
+                    for a in apool
+                )
                 good = 0
-                for a in apool:
-                    holders = [e for e in earlier if self._label_member(e.label, a)]
-                    good += sum(
+                for srcs, mult in groups.items():
+                    good += mult * sum(
                         1 for w in wpool
-                        if not any(self._word_member(w, e.src) for e in holders)
+                        if not any(self._word_member(w, src) for src in srcs)
                     )
                 return good / (len(wpool) * len(apool))
         draw_a = self._sampler(t.label, ("trial", state, pos))
@@ -665,6 +675,7 @@ def count_succinct_nfa(
         "clamped": counter.diag.clamped,
         "walk_cap_hits": counter.diag.walk_cap_hits,
         "oracle_exhausted": counter.diag.oracle_exhausted,
+        "sampler_failures": counter.diag.sampler_failures,
     }
     return NfaCountResult(estimate, counter, cert)
 

@@ -126,20 +126,24 @@ def _label_text(label) -> str:
 
 
 def serialize_tree(t: Tree) -> str:
-    """Compact text form: a, a(b,c), f(1,"x y")."""
+    """Compact text form: a, a(b,c), f(1,"x y").  Iterative, so any depth
+    works."""
     out = []
-
-    def go(node: Tree):
-        out.append(_label_text(node.label))
-        if node.children:
-            out.append("(")
-            for i, c in enumerate(node.children):
-                if i:
-                    out.append(",")
-                go(c)
-            out.append(")")
-
-    go(t)
+    stack: list = [t]  # trees still to write, and punctuation
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(_label_text(item.label))
+        kids = item.children
+        if kids:
+            stack.append(")")
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(",")
+            stack.append(kids[0])
+            stack.append("(")
     return "".join(out)
 
 
@@ -186,23 +190,7 @@ def parse_tree(text: str) -> Tree:
             return int(token)
         return token
 
-    def parse_node():
-        nonlocal pos
-        label = parse_label()
-        skip_ws()
-        children = []
-        if pos < n and text[pos] == "(":
-            pos += 1
-            while True:
-                children.append(parse_node())
-                skip_ws()
-                if pos < n and text[pos] == ",":
-                    pos += 1
-                    continue
-                if pos < n and text[pos] == ")":
-                    pos += 1
-                    break
-                raise TreeParseError("expected ',' or ')'", pos)
+    def finish(label, children: list) -> Tree:
         if isinstance(label, int):
             if children:
                 raise TreeParseError("holes cannot have children", pos)
@@ -211,7 +199,32 @@ def parse_tree(text: str) -> Tree:
             return hole(label)
         return Tree(label, tuple(children))
 
-    root = parse_node()
+    # Iterative, so any depth works: open_nodes holds the (label, children)
+    # of every node whose ')' has not been read yet.
+    open_nodes: list[tuple[object, list]] = []
+    while True:
+        label = parse_label()
+        skip_ws()
+        if pos < n and text[pos] == "(":
+            pos += 1
+            open_nodes.append((label, []))
+            continue
+        node = finish(label, [])
+        # Attach finished nodes upwards until a ',' asks for a sibling.
+        while open_nodes:
+            open_nodes[-1][1].append(node)
+            skip_ws()
+            if pos < n and text[pos] == ",":
+                pos += 1
+                break
+            if pos < n and text[pos] == ")":
+                pos += 1
+                node = finish(*open_nodes.pop())
+            else:
+                raise TreeParseError("expected ',' or ')'", pos)
+        if not open_nodes:
+            break
+    root = node
     skip_ws()
     if pos != n:
         raise TreeParseError("trailing input after tree", pos)

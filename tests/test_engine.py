@@ -18,6 +18,7 @@ from taru.engine import (
 )
 from taru.oracles import brute_slice
 from taru.rng import Stream
+from taru.snfa import OracleExhausted
 from taru.trees import Tree, hole, parse_tree
 
 from genutil import random_binary_automaton
@@ -273,6 +274,36 @@ def test_tree_label_oracle_contract(catalan):
     assert tv <= 0.1
 
 
+def test_constant_sketch_replays_its_tree_without_randomness(monkeypatch, catalan):
+    """A sketch holding one tree is replayed len(pool) times unshuffled,
+    and a state with one leaf symbol draws its leaf, both without reading
+    their streams."""
+    from taru.engine import _SketchLabel
+
+    def no_rand(stream):
+        raise AssertionError("a forced draw read its stream")
+
+    engine = Engine(catalan, 11, Config(seed=6))
+    engine.build()
+    label = _SketchLabel(engine, "r", 3)
+    pool = engine.sketch("r", 3)
+    assert pool and all(t == parse_tree("a(a,a)") for t in pool)
+    monkeypatch.setattr(Stream, "rand", no_rand)
+    draw = label.new_sampler(Stream.from_seed(1).child("lab"))
+    assert [draw() for _ in pool] == pool
+    with pytest.raises(OracleExhausted):
+        draw()
+    assert engine.sample("r", 1, Stream.from_seed(1)) == parse_tree("a")
+
+
+def test_nfa_sampler_failures_reach_the_certificate(fig3):
+    sampler = fpaus(fig3, 13, Config(seed=1))
+    for _ in range(50):
+        sampler.draw()
+    warnings = sampler.handle.count().certificate["warnings"]
+    assert warnings["nfa_sampler_failures"] > 0
+
+
 def test_overlap_fresh_path_statistical(mixed):
     """The fresh-draw overlap estimator (the literal-formula route) agrees
     with the exact count when run with workable trial counts."""
@@ -380,6 +411,36 @@ def test_lazy_sketch_fills_do_not_nest_deeper_with_n(monkeypatch, fig3):
         deep = _deepest_sketch_fill(monkeypatch, automaton, large)
         assert shallow > 0
         assert deep - shallow <= 8
+
+
+def test_sketch_fills_made_by_draws_do_not_nest_deeper_with_n(monkeypatch):
+    """Draws fill the sketches their completion NFAs read, which can fill
+    lower sketches in turn; on a dense random automaton that chain is as
+    deep at n = 21 as at n = 17."""
+    automaton = random_binary_automaton(
+        random.Random(9), n_states=3, n_symbols=1, n_internal=7, n_leaf=2
+    )
+    draw = Engine._draw_sketch_entry
+    depths = []
+    for n in (17, 21):
+        sampler = fpaus(automaton, n, Config(seed=1))
+        active, deepest = [0], [0]
+
+        def recording(self, *args):
+            active[0] += 1
+            deepest[0] = max(deepest[0], active[0])
+            try:
+                return draw(self, *args)
+            finally:
+                active[0] -= 1
+
+        monkeypatch.setattr(Engine, "_draw_sketch_entry", recording)
+        for _ in range(20):
+            sampler.draw()
+        monkeypatch.setattr(Engine, "_draw_sketch_entry", draw)
+        depths.append(deepest[0])
+    assert depths[0] > 1
+    assert depths[1] <= depths[0]
 
 
 def test_cq_sampling_builds_no_empty_partition_nfa(monkeypatch, q1_d1):

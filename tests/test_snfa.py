@@ -272,6 +272,22 @@ def test_explicit_label_contract():
     assert seen == {"a", "b", "c"}
 
 
+def test_one_symbol_label_draws_without_randomness(monkeypatch):
+    def no_rand(stream):
+        raise AssertionError("a forced draw read its stream")
+
+    lab = ExplicitLabel("&", ("&",))
+    monkeypatch.setattr(Stream, "rand", no_rand)
+    draw = lab.new_sampler(Stream.from_seed(4).child("label"))
+    assert [draw() for _ in range(20)] == ["&"] * 20
+
+
+def test_certificate_reports_sampler_failures():
+    result = count_succinct_nfa(chain_nfa(), 2, Config(seed=3))
+    warnings = result.certificate["warnings"]
+    assert warnings["sampler_failures"] == result.counter.diag.sampler_failures
+
+
 def test_word_membership_matches_brute_enumeration():
     rng = random.Random(61)
     for trial in range(25):

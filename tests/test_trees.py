@@ -68,6 +68,20 @@ def test_serialization_round_trip(t):
     assert tree_from_json(t.to_json()) == t
 
 
+def test_deep_caterpillar_round_trips():
+    """Text and parsing work at any depth: a 4001-node caterpillar."""
+    t = leaf("a")
+    for _ in range(2000):
+        t = Tree("f", (leaf("b"), t))
+    assert t.size == 4001
+    text = t.text()
+    assert text == "f(b," * 2000 + "a" + ")" * 2000
+    back = parse_tree(text)
+    assert back.size == 4001
+    assert serialize_tree(back) == text
+    assert [n.label for _, n in back.nodes()] == [n.label for _, n in t.nodes()]
+
+
 def test_shape_counts_match_enumeration():
     for n in range(1, 10):
         for arities in [(2,), (1, 2), (1, 2, 3)]:
