@@ -1,6 +1,7 @@
 """Run configuration and derived sampling parameters.
 
-Two parameter profiles are supported.
+Both parameter profiles run the same estimators and samplers; they differ
+only in their constants.
 
 * "practical" scales every trial and sketch count by small calibrated
   constants.  These defaults were tuned with scripts/calibrate_fpras.py so the
@@ -8,17 +9,22 @@ Two parameter profiles are supported.
   inputs within its time budget.
 
 * "theory" instantiates the guarantee-carrying formulas verbatim, including
-  the epsilon clamp.  The resulting counts are astronomically large for any
-  nontrivial input.  Sketches are filled when first read under both profiles,
-  and the theory profile also fills them one entry at a time, so it is
-  executable exactly on instances whose estimates never demand a sample
-  (every union of derivations is a single product).
+  the epsilon clamp, and refreshes every tree sketch once per level round.
+  The resulting counts are astronomically large for any nontrivial input.
+  Sketches are filled when first read under both profiles, and the theory
+  profile also fills them one entry at a time, so it is executable exactly on
+  instances whose estimates never demand a sample (every union of derivations
+  is a single product).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+# Sampler calls allowed per sketch slot before the fill gives up.
+FILL_ATTEMPTS = 64
 
 
 class ConfigError(ValueError):
@@ -35,8 +41,6 @@ class Config:
     c_sketch: int = 64
     c_trials: int = 16
     c_rho: int = 16
-    # Budget.
-    fill_attempts: int = 64
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
@@ -59,17 +63,14 @@ class EngineParams:
                  h_trials pairs
     h_trials     sampled pairs per overlap fraction
     epsilon      working accuracy target (clamped under the theory profile)
-    fresh_trials under the theory profile, overlap fractions are estimated
-                 from fresh sampler calls with a 5x oversampling allowance
-    refresh_epochs  rebuild every sample set once per level round
+    refresh_epochs  rebuild every sample set once per level round, and draw
+                 its entries one at a time (theory profile)
     """
 
     alpha: int
     pair_cap: int
     h_trials: int
-    h_budget: int
     epsilon: float
-    fresh_trials: bool
     refresh_epochs: bool
     nfa: "NfaParams"
 
@@ -90,18 +91,28 @@ class NfaParams:
     m_rho: int
     walk_cap: int
     epsilon: float
-    exhaustive_cap: int = 4096
 
 
 def _ceil(x: float) -> int:
     return int(math.ceil(x))
 
 
+def _theory_nfa_params(r: int, eps: float, gamma: float, log_n_bound: float) -> NfaParams:
+    """The succinct-NFA formulas for an NFA of size r whose word sets hold at
+    most 2**log_n_bound words."""
+    return NfaParams(
+        d_trials=_ceil(gamma * r**5 / eps**2),
+        beta=_ceil(gamma * r**3 / eps**2),
+        m_rho=_ceil(math.log2(max(2.0, log_n_bound / eps)) * gamma * r**10 / eps**2),
+        walk_cap=_ceil(10 * r**4 * math.log2(max(2.0, r * log_n_bound / eps)) * gamma),
+        epsilon=eps,
+    )
+
+
 def resolve_engine_params(config: Config, n: int, m: int) -> EngineParams:
     if config.profile == "practical":
         eps = config.epsilon
         alpha = config.c_sketch
-        h = config.c_trials * _ceil(1.0 / (eps * eps))
         nfa = NfaParams(
             d_trials=2 * config.c_trials,
             beta=max(8, config.c_sketch // 4),
@@ -112,10 +123,8 @@ def resolve_engine_params(config: Config, n: int, m: int) -> EngineParams:
         return EngineParams(
             alpha=alpha,
             pair_cap=max(alpha * alpha, 4096),
-            h_trials=h,
-            h_budget=5 * h,
+            h_trials=config.c_trials * _ceil(1.0 / (eps * eps)),
             epsilon=eps,
-            fresh_trials=False,
             refresh_epochs=False,
             nfa=nfa,
         )
@@ -129,24 +138,17 @@ def resolve_engine_params(config: Config, n: int, m: int) -> EngineParams:
     # log(1/delta_p) = gamma n^20.
     log_delta_p = gamma * float(n) ** 20
     h = _ceil((math.log2(4 * m) + log_delta_p) * m * m / (eps * eps))
-    r_bound = 3 * (n * m) ** 4
-    eps_inner = min(1.0, (4.0 * n * m) ** 17 * eps)
-    gamma_inner = (n * m) ** 3 * math.log2(1.0 / config.delta)
-    log_n_bound = (n * m) ** 2 * math.log2(max(2, n * m))
-    nfa = NfaParams(
-        d_trials=_ceil(gamma_inner * r_bound**5 / eps_inner**2),
-        beta=_ceil(gamma_inner * r_bound**3 / eps_inner**2),
-        m_rho=_ceil(math.log2(max(2.0, log_n_bound / eps_inner)) * gamma_inner * r_bound**10 / eps_inner**2),
-        walk_cap=_ceil(10 * r_bound**4 * math.log2(max(2.0, r_bound * log_n_bound / eps_inner)) * gamma_inner),
-        epsilon=eps_inner,
+    nfa = _theory_nfa_params(
+        3 * (n * m) ** 4,
+        min(1.0, (4.0 * n * m) ** 17 * eps),
+        (n * m) ** 3 * log2_inv_delta,
+        (n * m) ** 2 * math.log2(max(2, n * m)),
     )
     return EngineParams(
         alpha=alpha,
         pair_cap=0,
         h_trials=h,
-        h_budget=5 * h,
         epsilon=eps,
-        fresh_trials=True,
         refresh_epochs=True,
         nfa=nfa,
     )
@@ -154,22 +156,18 @@ def resolve_engine_params(config: Config, n: int, m: int) -> EngineParams:
 
 def resolve_nfa_params(config: Config, r: int, k: int) -> NfaParams:
     """Parameters for counting a standalone succinct NFA of size r at length k."""
+    eps = config.epsilon
     if config.profile == "practical":
-        eps = config.epsilon
         return NfaParams(
             d_trials=config.c_trials * _ceil(1.0 / (eps * eps)),
             beta=max(16, config.c_sketch),
-            m_rho=2 * config.c_rho * _ceil(1.0 / (eps * eps)) // 2,
+            m_rho=config.c_rho * _ceil(1.0 / (eps * eps)),
             walk_cap=64 * config.c_rho,
             epsilon=eps,
         )
-    eps = config.epsilon
-    gamma = math.log2(1.0 / config.delta)
-    log_n_bound = max(2.0, float(k) * math.log2(max(2, r)))
-    return NfaParams(
-        d_trials=_ceil(gamma * r**5 / eps**2),
-        beta=_ceil(gamma * r**3 / eps**2),
-        m_rho=_ceil(math.log2(max(2.0, log_n_bound / eps)) * gamma * r**10 / eps**2),
-        walk_cap=_ceil(10 * r**4 * math.log2(max(2.0, r * log_n_bound / eps)) * gamma),
-        epsilon=eps,
+    return _theory_nfa_params(
+        r,
+        eps,
+        math.log2(1.0 / config.delta),
+        max(2.0, float(k) * math.log2(max(2, r))),
     )

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
 from .automata import TreeAutomaton, decode_tree, encode_binary
-from .config import Config, EngineParams, resolve_engine_params
+from .config import FILL_ATTEMPTS, Config, EngineParams, resolve_engine_params
 from .partition import build_partition_nfa, extended_run_exists
 from .rng import Stream
 from .sampling import EMPTY, FAIL, SampleTrace, sample_tree
@@ -52,16 +52,6 @@ class EngineDiagnostics:
     nfa_walk_caps: int = 0
     nfa_exhausted: int = 0
     nfa_sampler_failures: int = 0
-
-    def as_warnings(self) -> dict:
-        return {
-            "clamped_accepts": self.clamped_accepts,
-            "sample_failures": self.sample_failures,
-            "nfa_clamped": self.nfa_clamped,
-            "nfa_walk_caps": self.nfa_walk_caps,
-            "nfa_exhausted": self.nfa_exhausted,
-            "nfa_sampler_failures": self.nfa_sampler_failures,
-        }
 
 
 class _SketchLabel(LabelOracle):
@@ -99,8 +89,8 @@ class _SketchLabel(LabelOracle):
         engine = self.engine
         state, level = self.state, self.level
         if engine.params.refresh_epochs:
-            # Lazily materialized stream of fresh draws; consuming a prefix
-            # of an i.i.d. sequence is a without-replacement draw from it.
+            # This epoch's sketch entries, drawn only as they are consumed;
+            # a prefix of an i.i.d. sequence is a without-replacement draw.
             counter = [0]
             alpha = engine.params.alpha
 
@@ -142,7 +132,6 @@ class Engine:
         automaton.require_binary()
         self.base = automaton
         self.n = n
-        self.config = config
         self.params: EngineParams = resolve_engine_params(config, n, automaton.size)
         self.unrolled = UnrolledAutomaton(automaton, n)
         self.root_stream = Stream.from_seed(config.seed).child("engine")
@@ -162,15 +151,7 @@ class Engine:
 
     def sketch(self, state: str, level: int) -> list[Tree]:
         """The full sample set for (state, level) in the current epoch."""
-        key = (state, level, self.epoch)
-        pool = self._sketches.get(key)
-        if pool is None:
-            pool = []
-            self._sketches[key] = pool
-        target = self.params.alpha
-        while len(pool) < target:
-            pool.append(self._draw_sketch_entry(state, level, len(pool)))
-        return pool
+        return self._filled(state, level, self.params.alpha)
 
     def sketch_is_constant(self, state: str, level: int) -> bool:
         """Whether every entry of the full sketch is the same tree."""
@@ -183,17 +164,18 @@ class Engine:
         return hit
 
     def sketch_entry(self, state: str, level: int, index: int) -> Tree:
-        key = (state, level, self.epoch)
-        pool = self._sketches.get(key)
-        if pool is None:
-            pool = []
-            self._sketches[key] = pool
-        while len(pool) <= index:
+        """Entry index of the (state, level) sample set, drawing only the
+        entries up to it."""
+        return self._filled(state, level, index + 1)[index]
+
+    def _filled(self, state: str, level: int, size: int) -> list[Tree]:
+        pool = self._sketches.setdefault((state, level, self.epoch), [])
+        while len(pool) < size:
             pool.append(self._draw_sketch_entry(state, level, len(pool)))
-        return pool[index]
+        return pool
 
     def _draw_sketch_entry(self, state: str, level: int, position: int) -> Tree:
-        for attempt in range(self.config.fill_attempts):
+        for attempt in range(FILL_ATTEMPTS):
             stream = self.root_stream.child(
                 "sketch", self.epoch, state, level, position, attempt
             )
@@ -211,7 +193,7 @@ class Engine:
             self.diag.sample_failures += 1
         raise EngineFail(
             f"could not fill sample set slot ({state}, {level}, {position}) "
-            f"within {self.config.fill_attempts} attempts"
+            f"within {FILL_ATTEMPTS} attempts"
         )
 
     # -- estimates -----------------------------------------------------------
@@ -250,8 +232,6 @@ class Engine:
                 weight = self.estimate(q, left) * self.estimate(r, right)
                 if pos == 0:
                     frac = 1.0
-                elif self.params.fresh_trials:
-                    frac = self._overlap_fresh(state, level, symbol, left, live, pos)
                 else:
                     frac = self._overlap_pairs(state, level, symbol, left, live, pos)
                 total += weight * frac
@@ -294,38 +274,6 @@ class Engine:
                 good += 1
         return good / trials
 
-    def _overlap_fresh(self, state, level, symbol, left, live, pos) -> float:
-        """Overlap fraction from fresh sampler draws, with an oversampling
-        allowance of failures."""
-        right = level - 1 - left
-        q, r = live[pos]
-        earlier = live[:pos]
-        derive = self.base.derive_states
-        stream = self.root_stream.child(
-            "overlap-fresh", self.epoch, state, level, symbol, left, pos
-        )
-        trials = self.params.h_trials
-        budget = self.params.h_budget
-        good = 0
-        collected = 0
-        attempt = 0
-        while collected < trials:
-            if attempt >= budget:
-                raise EngineFail(
-                    f"overlap estimation at ({state}, {level}) exhausted its "
-                    f"{budget}-draw budget"
-                )
-            t1 = self.sample(q, left, stream.child("l", attempt))
-            t2 = self.sample(r, right, stream.child("r", attempt))
-            attempt += 1
-            if not (isinstance(t1, Tree) and isinstance(t2, Tree)):
-                continue
-            collected += 1
-            s1, s2 = derive(t1), derive(t2)
-            if not any(q2 in s1 and r2 in s2 for (q2, r2) in earlier):
-                good += 1
-        return good / trials
-
     # -- completion estimates ------------------------------------------------
 
     def estimate_partition(self, t: Tree, state: str, level: int) -> float:
@@ -360,8 +308,6 @@ class Engine:
                 nfa,
                 self.params.nfa,
                 self.root_stream.child("part", self.epoch, state, level, t.text()),
-                fresh_trials=self.params.fresh_trials,
-                fill_attempts=self.config.fill_attempts,
             )
             value = counter.run()
             self.diag.nfa_clamped += counter.diag.clamped
@@ -456,7 +402,7 @@ class LanguageSampler:
         if self.engine is None:
             extra = {"exact": "even-size"}
         else:
-            extra = {"warnings": self.engine.diag.as_warnings()}
+            extra = {"warnings": asdict(self.engine.diag)}
         if self.encoded:
             extra["encoded"] = True
         return CountResult(self.estimate(), _certificate(self.config, "fpras", extra))

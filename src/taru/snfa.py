@@ -17,9 +17,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .config import Config, NfaParams, resolve_nfa_params
+from .config import FILL_ATTEMPTS, Config, NfaParams, resolve_nfa_params
 from .rng import Stream
 from .sampling import EMPTY, FAIL
+
+# Largest sketch-by-label product whose overlap fraction is counted pair by
+# pair instead of sampled.
+EXHAUSTIVE_CAP = 4096
 
 
 class OracleExhausted(RuntimeError):
@@ -265,15 +269,12 @@ class NfaCounter:
     so near-uniform word samples can be drawn from any state.
     """
 
-    def __init__(self, nfa: SuccinctNFA, params: NfaParams, stream: Stream,
-                 fresh_trials: bool = False, fill_attempts: int = 64):
+    def __init__(self, nfa: SuccinctNFA, params: NfaParams, stream: Stream):
         if nfa.levels is None:
             raise NfaError("counting needs a leveled NFA")
         self.nfa = nfa
         self.params = params
         self.stream = stream
-        self.fresh_trials = fresh_trials
-        self.fill_attempts = fill_attempts
         self.diag = NfaDiagnostics()
         self._topo_index = {s: i for i, s in enumerate(nfa.states)}
         self._in: dict[str, list[tuple[int, NfaTransition]]] = {s: [] for s in nfa.states}
@@ -378,35 +379,29 @@ class NfaCounter:
                     return False
             return True
 
-        label = self.nfa.labels[t.label]
-        if not self.fresh_trials:
-            wpool = self.word_pool(t.src)
-            apool = label.pool()
-            if apool and len(wpool) * len(apool) <= self.params.exhaustive_cap:
-                # Freshness depends on a symbol only through the sources of
-                # the earlier transitions whose labels hold it, and the pool
-                # shares few such source tuples.
-                groups = Counter(
-                    tuple(e.src for e in earlier if self._label_member(e.label, a))
-                    for a in apool
+        wpool = self.word_pool(t.src)
+        apool = self.nfa.labels[t.label].pool()
+        if apool and len(wpool) * len(apool) <= EXHAUSTIVE_CAP:
+            # Freshness depends on a symbol only through the sources of
+            # the earlier transitions whose labels hold it, and the pool
+            # shares few such source tuples.
+            groups = Counter(
+                tuple(e.src for e in earlier if self._label_member(e.label, a))
+                for a in apool
+            )
+            good = 0
+            for srcs, mult in groups.items():
+                good += mult * sum(
+                    1 for w in wpool
+                    if not any(self._word_member(w, src) for src in srcs)
                 )
-                good = 0
-                for srcs, mult in groups.items():
-                    good += mult * sum(
-                        1 for w in wpool
-                        if not any(self._word_member(w, src) for src in srcs)
-                    )
-                return good / (len(wpool) * len(apool))
+            return good / (len(wpool) * len(apool))
         draw_a = self._sampler(t.label, ("trial", state, pos))
         rand = self.stream.child("trial", state, pos).rand()
         good = 0
         trials = self.params.d_trials
-        for i in range(trials):
-            if self.fresh_trials:
-                w = self._draw_fresh_word(t.src, ("trial", state, pos, i))
-            else:
-                wpool = self.word_pool(t.src)
-                w = wpool[rand.below(len(wpool))]
+        for _ in range(trials):
+            w = wpool[rand.below(len(wpool))]
             try:
                 a = draw_a()
             except OracleExhausted:
@@ -415,16 +410,6 @@ class NfaCounter:
             if fresh(w, a):
                 good += 1
         return good / trials
-
-    def _draw_fresh_word(self, state: str, context: tuple):
-        budget = self.fill_attempts
-        for attempt in range(budget):
-            w = self.sample_from_state(state, self.stream.child("fresh", context, attempt))
-            if isinstance(w, tuple):
-                return w
-            if w == EMPTY:
-                raise NfaError("drawing from an empty state")
-        raise OracleExhausted(f"no sample from {state} within {budget} attempts")
 
     # -- sketches ---------------------------------------------------------
 
@@ -437,7 +422,7 @@ class NfaCounter:
         position = 0
         while len(pool) < beta:
             got = None
-            for attempt in range(self.fill_attempts):
+            for attempt in range(FILL_ATTEMPTS):
                 w = self.sample_from_state(
                     state, self.stream.child("sketch", state, position, attempt)
                 )
@@ -450,7 +435,7 @@ class NfaCounter:
             if got is None:
                 raise OracleExhausted(
                     f"could not fill word sketch for {state} "
-                    f"({self.fill_attempts} attempts per slot)"
+                    f"({FILL_ATTEMPTS} attempts per slot)"
                 )
             if not self._word_member(got, state):
                 raise AssertionError("sampled word fails its own membership")
@@ -634,16 +619,8 @@ class NfaCountResult:
     certificate: dict
 
 
-def count_succinct_nfa(
-    nfa: SuccinctNFA,
-    k: int,
-    config: Config,
-    params: Optional[NfaParams] = None,
-    stream: Optional[Stream] = None,
-) -> NfaCountResult:
+def count_succinct_nfa(nfa: SuccinctNFA, k: int, config: Config) -> NfaCountResult:
     """Estimate the number of length-k words, retaining the sketch table."""
-    if stream is None:
-        stream = Stream.from_seed(config.seed).child("nfa-count")
     if nfa.is_leveled():
         if nfa.word_length() != k:
             raise NfaError(
@@ -652,8 +629,7 @@ def count_succinct_nfa(
         leveled = prune_to_paths(nfa)
     else:
         leveled = unroll_nfa(nfa, k)
-    if params is None:
-        params = resolve_nfa_params(config, max(1, leveled.size()), k)
+    params = resolve_nfa_params(config, max(1, leveled.size()), k)
     cert = {
         "epsilon": config.epsilon,
         "delta": config.delta,
@@ -664,11 +640,7 @@ def count_succinct_nfa(
     if not leveled.transitions:
         return NfaCountResult(0.0, None, cert | {"empty": True})
     counter = NfaCounter(
-        leveled,
-        params,
-        stream,
-        fresh_trials=(config.profile == "theory"),
-        fill_attempts=config.fill_attempts,
+        leveled, params, Stream.from_seed(config.seed).child("nfa-count")
     )
     estimate = counter.run()
     cert["warnings"] = {
@@ -680,12 +652,13 @@ def count_succinct_nfa(
     return NfaCountResult(estimate, counter, cert)
 
 
-def sample_word(result: NfaCountResult, stream: Stream, retries: int = 3):
-    """A word from the counted NFA's full language, FAIL, or EMPTY."""
+def sample_word(result: NfaCountResult, stream: Stream):
+    """A word from the counted NFA's full language, FAIL, or EMPTY; the walk
+    is retried up to three times."""
     if result.counter is None or result.estimate <= 0.0:
         return EMPTY
     counter = result.counter
-    for attempt in range(retries):
+    for attempt in range(3):
         w = counter.sample_from_state(counter.nfa.final, stream.child("try", attempt))
         if isinstance(w, tuple) or w == EMPTY:
             return w

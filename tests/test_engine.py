@@ -212,13 +212,14 @@ def test_fpaus_bottom_rate(mixed):
 def test_theory_profile_epsilon_clamp():
     params = resolve_engine_params(Config(profile="theory"), 3, 3)
     assert params.epsilon <= (4 * 3 * 3) ** -18
-    assert params.refresh_epochs and params.fresh_trials
+    assert params.refresh_epochs
     assert params.alpha > 10**9  # astronomically large, materialized lazily
 
 
 def test_theory_profile_runs_on_union_free_instance():
     """Two states, n=3, one derivation channel: the literal-formula profile
-    never needs a sample, so it completes and is exact."""
+    never needs a sample, so it completes and is exact, and its draws come
+    from the lazily drawn sketch entries."""
     aut = TreeAutomaton(
         {"s0", "s1"}, {"a"},
         [("s0", "a", ("s1", "s1")), ("s1", "a", ())],
@@ -228,6 +229,8 @@ def test_theory_profile_runs_on_union_free_instance():
     assert truth == 1
     res = fpras_bta(aut, 3, Config(profile="theory", seed=0))
     assert res.estimate == float(truth)
+    sampler = fpaus(aut, 3, Config(profile="theory", seed=1))
+    assert [sampler.draw() for _ in range(3)] == [parse_tree("a(a,a)")] * 3
 
 
 def test_random_automata_zero_law():
@@ -302,20 +305,6 @@ def test_nfa_sampler_failures_reach_the_certificate(fig3):
         sampler.draw()
     warnings = sampler.handle.count().certificate["warnings"]
     assert warnings["nfa_sampler_failures"] > 0
-
-
-def test_overlap_fresh_path_statistical(mixed):
-    """The fresh-draw overlap estimator (the literal-formula route) agrees
-    with the exact count when run with workable trial counts."""
-    import dataclasses
-
-    engine = Engine(mixed, 9, Config(seed=21))
-    engine.params = dataclasses.replace(
-        engine.params, fresh_trials=True, h_trials=60, h_budget=1200
-    )
-    est = engine.build()
-    truth = len(brute_slice(mixed, 9))
-    assert abs(est - truth) <= 0.25 * truth
 
 
 def test_fpras_ta_on_binary_arity_input_counts_at_size_n(mixed):

@@ -120,6 +120,23 @@ def test_count_overlapping_diamond():
     assert hits >= 27
 
 
+def test_theory_profile_counts_overlap_from_label_pools():
+    """Under the theory profile an explicit label's overlap with an earlier
+    transition is counted from its pool, as under the practical profile, so
+    a two-symbol overlap is exact and needs no sampled word."""
+    labels = {
+        "A": ExplicitLabel("A", ("a", "b")),
+        "B": ExplicitLabel("B", ("b", "c")),
+    }
+    nfa = SuccinctNFA(
+        ["x", "y"], [("x", "A", "y"), ("x", "B", "y"), ("y", "A", "y")],
+        "x", "y", labels,
+    )
+    assert brute_nfa_count(nfa, 2, budget=None) == 6
+    res = count_succinct_nfa(nfa, 2, Config(profile="theory", seed=0))
+    assert res.estimate == 6.0
+
+
 def test_count_random_nfas_against_brute():
     rng = random.Random(41)
     cases = nonzero = good = 0
