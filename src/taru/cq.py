@@ -591,7 +591,7 @@ def count_ucq(
     disjunct supplies both its answer-count estimate and its uniform answer
     sampler; disjuncts are picked in proportion to their estimates and a
     drawn answer counts as a hit when the picked disjunct is the first one
-    containing it."""
+    containing it, which is looked up once per distinct answer."""
     if not queries:
         raise QueryError("a union needs at least one disjunct")
     arities = {len(q.head) for q in queries}
@@ -612,6 +612,8 @@ def count_ucq(
     done = 0
     attempts = 0
     max_attempts = 20 * trials + 100
+    # The first disjunct containing an answer depends on the answer alone.
+    first_of: dict[tuple, int] = {}
     while done < trials and attempts < max_attempts:
         attempts += 1
         i = rand.weighted_index(estimates)
@@ -619,9 +621,12 @@ def count_ucq(
         if a == BOT:
             continue
         done += 1
-        first = next(
-            j for j in range(m) if estimates[j] > 0.0 and cq_membership(queries[j], db, a)
-        )
+        first = first_of.get(a)
+        if first is None:
+            first = first_of[a] = next(
+                j for j in range(m)
+                if estimates[j] > 0.0 and cq_membership(queries[j], db, a)
+            )
         if first == i:
             hits += 1
     if done < trials:

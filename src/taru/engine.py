@@ -140,6 +140,9 @@ class Engine:
         self._constant: dict[tuple[str, int, int], bool] = {}
         self._ep_memo: dict = {}
         self._expansions: dict = {}
+        self._leaf_choices = {
+            s: sorted(set(symbols)) for s, symbols in automaton.leaf_symbols.items()
+        }
         self.diag = EngineDiagnostics()
         self.epoch = 0
         self._built = False
@@ -325,7 +328,7 @@ class Engine:
         if est <= 0.0:
             return EMPTY
         if level == 1:
-            symbols = sorted(set(self.base.leaf_symbols.get(state, ())))
+            symbols = self._leaf_choices[state]
             if len(symbols) == 1:
                 return leaf(symbols[0])  # forced: reads no randomness
             return leaf(symbols[stream.rand().below(len(symbols))])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 
 
 def _encode_label(label) -> bytes:
@@ -64,11 +65,9 @@ class Stream:
             while chain[-1]._parent._k is None:
                 chain.append(chain[-1]._parent)
             for node in reversed(chain):
-                h = hashlib.sha256(node._parent._k)
-                for label in node._labels:
-                    h.update(b"/")
-                    h.update(_encode_label(label))
-                node._k = h.digest()
+                node._k = hashlib.sha256(node._parent._k + b"".join(
+                    b"/" + _encode_label(label) for label in node._labels
+                )).digest()
                 node._parent = None
         return self._k
 
@@ -129,3 +128,21 @@ class Rand:
             if x < acc:
                 return i
         return len(weights) - 1
+
+    def pick(self, cum: list) -> int:
+        """weighted_index over the weights whose cumulative() is cum, found
+        by binary search; index for index the same answer, since cum[-1] is
+        weighted_index's total and cum[i] its running sum at i."""
+        i = bisect_right(cum, self._r.random() * cum[-1])
+        return i if i < len(cum) else len(cum) - 1
+
+
+def cumulative(weights) -> list:
+    """Running sums of non-negative weights, added in the order and the way
+    Rand.weighted_index adds them."""
+    out = []
+    acc = 0.0
+    for w in weights:
+        acc += w
+        out.append(acc)
+    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .rng import Stream
+from .rng import Stream, cumulative
 from .trees import Tree, hole, leaf
 
 FAIL = "FAIL"
@@ -80,6 +80,39 @@ class SampleTrace:
     clamped: bool = False
 
 
+class ChoiceNode:
+    """One partial tree on the walk from a root hole: its live candidates,
+    their weights, total and running sums, and a child node per candidate,
+    made when that candidate is first picked.  The smallest hole is always
+    expanded first, so each partial tree has one parent and the nodes form a
+    tree."""
+
+    __slots__ = ("tree", "options", "weights", "total", "cum", "children")
+
+    def __init__(self, tree: Tree):
+        self.tree = tree
+        self.cum = None  # set, with the rest, when the node is expanded
+
+    def expand(self, alphabet, estimator: Callable[[Tree], float]) -> None:
+        options, weights = [], []
+        for _, c in immediate_extensions(self.tree, min_hole(self.tree), alphabet):
+            w = estimator(c)
+            if w > 0.0:
+                options.append(c)
+                weights.append(w)
+        self.options = options
+        self.weights = weights
+        self.total = sum(weights)
+        self.children = [None] * len(options)
+        self.cum = cumulative(weights)
+
+    def child(self, k: int) -> "ChoiceNode":
+        node = self.children[k]
+        if node is None:
+            node = self.children[k] = ChoiceNode(self.options[k])
+        return node
+
+
 def sample_tree(
     level: int,
     alphabet,
@@ -93,32 +126,27 @@ def sample_tree(
     `estimator`; returns a complete Tree, FAIL, or EMPTY.
 
     Candidates of weight zero are dropped: `weighted_index` never picks them
-    and they add nothing to the total.  `expansions`, when given, keeps each
-    partial tree's live candidates, their weights and total across draws, so
-    it must only be shared between draws with the same estimator."""
+    and they add nothing to the total, and `Rand.pick` picks what it would.
+    `expansions`, when given, keeps the choice tree grown from each root
+    size across draws, so it must only be shared between draws with the same
+    estimator."""
     if slice_estimate <= 0.0:
         return EMPTY
     rand = stream.rand()
-    t = hole(level)
+    node = None if expansions is None else expansions.get(level)
+    if node is None:
+        node = ChoiceNode(hole(level))
+        if expansions is not None:
+            expansions[level] = node
     phi = 1.0
-    while not t.is_complete():
-        live = None if expansions is None else expansions.get(t)
-        if live is None:
-            options, weights = [], []
-            for _, c in immediate_extensions(t, min_hole(t), alphabet):
-                w = estimator(c)
-                if w > 0.0:
-                    options.append(c)
-                    weights.append(w)
-            live = (options, weights, sum(weights))
-            if expansions is not None:
-                expansions[t] = live
-        options, weights, total = live
-        if total <= 0.0:
+    while not node.tree.is_complete():
+        if node.cum is None:
+            node.expand(alphabet, estimator)
+        if node.total <= 0.0:
             return FAIL
-        k = rand.weighted_index(weights)
-        phi *= weights[k] / total
-        t = options[k]
+        k = rand.pick(node.cum)
+        phi *= node.weights[k] / node.total
+        node = node.child(k)
         if trace is not None:
             trace.passes += 1
     if trace is not None:
@@ -129,5 +157,5 @@ def sample_tree(
         if trace is not None:
             trace.clamped = True
     if rand.bernoulli(accept):
-        return t
+        return node.tree
     return FAIL

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .config import FILL_ATTEMPTS, Config, NfaParams, resolve_nfa_params
-from .rng import Stream
+from .rng import Stream, cumulative
 from .sampling import EMPTY, FAIL
 
 # Largest sketch-by-label product whose overlap fraction is counted pair by
@@ -253,12 +253,12 @@ class NfaDiagnostics:
 
 
 class _Frontier:
-    __slots__ = ("trans", "weights", "total", "rho")
+    __slots__ = ("trans", "total", "cum", "rho")
 
-    def __init__(self, trans, weights, total):
+    def __init__(self, trans, weights):
         self.trans = trans
-        self.weights = weights
-        self.total = total
+        self.total = sum(weights)
+        self.cum = cumulative(weights)
         self.rho = None
 
 
@@ -460,9 +460,7 @@ class NfaCounter:
         # Largest weight first; ties by source topological index, then by
         # declaration order.
         trans.sort(key=lambda item: (-item[0], item[1], item[2]))
-        entries = [t for _, _, _, t in trans]
-        weights = [z for z, _, _, _ in trans]
-        info = _Frontier(entries, weights, sum(weights))
+        info = _Frontier([t for _, _, _, t in trans], [z for z, _, _, _ in trans])
         self._frontier_memo[states] = info
         return info
 
@@ -494,7 +492,7 @@ class NfaCounter:
         fails = 0
         m = self.params.m_rho
         for i in range(m):
-            j = rand.weighted_index(info.weights)
+            j = rand.pick(info.cum)
             t = info.trans[j]
             draw = self._sampler(t.label, ("rho", tuple(sorted(states))))
             try:
@@ -567,7 +565,7 @@ class NfaCounter:
                     if attempts > self.params.walk_cap:
                         self.diag.walk_cap_hits += 1
                         return FAIL
-                    j = rand.weighted_index(info.weights)
+                    j = rand.pick(info.cum)
                     t = info.trans[j]
                     draw = self._sampler(t.label, ("walk", walk_id, step))
                     try:

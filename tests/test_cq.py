@@ -284,6 +284,26 @@ def test_ucq_overlapping_disjuncts():
     assert res.estimate == pytest.approx(4.0, rel=0.2)
 
 
+def test_ucq_checks_each_drawn_answer_once(monkeypatch):
+    """cq_membership runs at most once per disjunct and distinct answer, and
+    the estimate is the one recorded when every trial ran its checks."""
+    checked = []
+
+    def counted_membership(query, db, answer):
+        checked.append(answer)
+        return cq_membership(query, db, answer)
+
+    monkeypatch.setattr("taru.cq.cq_membership", counted_membership)
+    qa = ConjunctiveQuery("Q", ("x",), (Atom("A", (Var("x"),)),))
+    qb = ConjunctiveQuery("Q", ("x",), (Atom("B", (Var("x"),)),))
+    db = Database({"A": {("1",), ("2",), ("3",)}, "B": {("3",), ("4",)}})
+    res = count_ucq([qa, qb], db, None, Config(seed=4))
+    assert res.certificate["trials"] == 2952
+    assert set(checked) == {("1",), ("2",), ("3",), ("4",)}
+    assert len(checked) <= 2 * len(set(checked))
+    assert res.estimate == 4.0379403794037945
+
+
 def test_ucq_arity_mismatch():
     qa = ConjunctiveQuery("Q", ("x",), (Atom("A", (Var("x"),)),))
     qc = ConjunctiveQuery("Q", ("x", "y"), (Atom("C", (Var("x"), Var("y"))),))

@@ -1,7 +1,10 @@
 """Stream keys and Rand values pinned to numbers recorded before stream keys
-were derived lazily; any change to them moves every seeded result."""
+were derived lazily; any change to them moves every seeded result.  Rand.pick
+must return what Rand.weighted_index returns, index for index."""
 
-from taru.rng import Stream
+import random
+
+from taru.rng import Rand, Stream, cumulative
 
 
 def test_child_keys_are_pinned():
@@ -34,3 +37,70 @@ def test_bool_and_int_labels_differ():
     root = Stream.from_seed(1)
     assert root.child(True)._key != root.child(1)._key
     assert root.child(False)._key != root.child(0)._key
+
+
+# -- Rand.pick against Rand.weighted_index ------------------------------------
+
+
+class _Fixed:
+    """Stands in for random.Random, always returning one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def _fixed(value) -> Rand:
+    rand = Rand(0)
+    rand._r = _Fixed(value)
+    return rand
+
+
+def _both_pick(weights, seed=0, draws=300):
+    """Index sequences of weighted_index and pick from equally seeded Rands."""
+    slow, fast = Rand(seed), Rand(seed)
+    cum = cumulative(weights)
+    return ([slow.weighted_index(weights) for _ in range(draws)],
+            [fast.pick(cum) for _ in range(draws)])
+
+
+def test_pick_matches_weighted_index_on_one_weight():
+    slow, fast = _both_pick([2.5])
+    assert slow == fast == [0] * 300
+
+
+def test_pick_matches_weighted_index_on_equal_weights():
+    slow, fast = _both_pick([1.0] * 5, seed=4)
+    assert slow == fast
+    assert set(fast) == set(range(5))
+
+
+def test_pick_matches_weighted_index_when_weights_vanish_in_the_sum():
+    weights = [1.0, 1e-17, 1e-17, 1.0]
+    cum = cumulative(weights)
+    assert cum[0] == cum[1] == cum[2]  # acc + w == acc
+    slow, fast = _both_pick(weights, seed=9)
+    assert slow == fast
+    # x lands exactly on the repeated running sum: both skip to index 3.
+    assert _fixed(0.5).weighted_index(weights) == _fixed(0.5).pick(cum) == 3
+
+
+def test_pick_matches_weighted_index_when_the_draw_rounds_up_to_the_total():
+    weights = [5e-324] * 3  # subnormal, so u * total can round up to total
+    u = 1.0 - 2.0**-53  # the largest value random() returns
+    cum = cumulative(weights)
+    assert u * cum[-1] == cum[-1]
+    assert _fixed(u).weighted_index(weights) == _fixed(u).pick(cum) == 2
+
+
+def test_pick_matches_weighted_index_on_random_weights():
+    rng = random.Random(11)
+    for trial in range(200):
+        weights = [rng.choice([0.0, 1e-300, 1.0, 3.0, 1e12]) * rng.random()
+                   for _ in range(rng.randint(1, 9))]
+        if sum(weights) <= 0.0:
+            continue
+        slow, fast = _both_pick(weights, seed=trial, draws=50)
+        assert slow == fast

@@ -145,8 +145,15 @@ def test_sample_tree_expansion_memo_changes_no_draw():
                 7, {"a", "b"}, est, 50.0, Stream.from_seed(i)
             )
         assert expansions
-    assert any(len(options) < len(immediate_extensions(t, min_hole(t), {"a", "b"}))
-               for t, (options, _, _) in expansions.items())
+    expanded, nodes = [], list(expansions.values())
+    while nodes:
+        node = nodes.pop()
+        if node.cum is not None:
+            expanded.append(node)
+            nodes.extend(c for c in node.children if c is not None)
+    assert any(len(node.options)
+               < len(immediate_extensions(node.tree, min_hole(node.tree), {"a", "b"}))
+               for node in expanded)
 
 
 def test_sample_tree_pass_count_bookkeeping():

@@ -280,6 +280,40 @@ def test_z_order_invariance_on_symmetric_fixture():
     assert tv <= 0.05
 
 
+def test_walk_draws_and_rho_values_are_pinned():
+    """Counts, words and rho values recorded while frontier picks went
+    through Rand.weighted_index; the binary-search pick keeps every one."""
+    labels = {
+        "A": ExplicitLabel("A", ("a", "b", "c")),
+        "B": ExplicitLabel("B", ("b", "c", "d")),
+        "C": ExplicitLabel("C", ("e",)),
+    }
+    nfa = SuccinctNFA(
+        ["s", "m1", "m2", "f"],
+        [("s", "A", "m1"), ("s", "B", "m2"), ("m1", "C", "f"), ("m2", "C", "f")],
+        "s", "f", labels,
+    )
+    res = _estimate(nfa, 2, seed=1)
+    stream = Stream.from_seed(2)
+    assert res.estimate == 4.171875
+    assert [sample_word(res, stream.child(i)) for i in range(12)] == [
+        ("c", "e"), ("b", "e"), FAIL, ("a", "e"), ("a", "e"), ("b", "e"),
+        ("b", "e"), FAIL, ("a", "e"), ("d", "e"), ("d", "e"), ("d", "e"),
+    ]
+    assert res.counter.diag.rho_values == [0.3225, 0.345]
+
+    nfa = random_explicit_nfa(random.Random(65), n_states=4, n_transitions=8,
+                              max_label=4, universe_size=6)
+    res = _estimate(nfa, 3, seed=65)
+    stream = Stream.from_seed(5)
+    assert res.estimate == 70.59375
+    assert [sample_word(res, stream.child(i)) for i in range(10)] == [
+        ("a", "b", "d"), ("d", "f", "b"), ("d", "e", "b"), FAIL, FAIL,
+        ("d", "d", "f"), FAIL, ("e", "e", "d"), ("a", "f", "d"), FAIL,
+    ]
+    assert res.counter.diag.rho_values == [0.3225, 0.0675, 0.0825, 0.4175]
+
+
 def test_explicit_label_contract():
     lab = ExplicitLabel("L", ("a", "b", "c"))
     assert lab.size_est() == 3.0
