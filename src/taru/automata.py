@@ -16,6 +16,7 @@ matching bijection on trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .trees import Tree, leaf
@@ -104,7 +105,7 @@ class TreeAutomaton:
             f"transitions={len(self.transitions)}, initial={self.initial!r})"
         )
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Encoding size of the transition table (used to scale parameters)."""
         return max(3, sum(2 + len(t.children) for t in self.transitions))

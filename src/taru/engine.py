@@ -23,6 +23,7 @@ is given weight zero without building its NFA.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -30,7 +31,7 @@ from typing import Optional
 
 from .automata import TreeAutomaton, decode_tree, encode_binary
 from .config import FILL_ATTEMPTS, Config, EngineParams, resolve_engine_params
-from .partition import build_partition_nfa, extended_run_exists
+from .partition import HoleFilter, build_partition_nfa, extended_run_exists
 from .rng import Stream
 from .sampling import EMPTY, FAIL, SampleTrace, sample_tree
 from .snfa import LabelOracle, NfaCounter, OracleExhausted
@@ -52,6 +53,9 @@ class EngineDiagnostics:
     nfa_walk_caps: int = 0
     nfa_exhausted: int = 0
     nfa_sampler_failures: int = 0
+    partition_nfas: int = 0
+    empty_partition_nfas: int = 0
+    pruned_by_run_check: int = 0
 
 
 class _SketchLabel(LabelOracle):
@@ -143,6 +147,20 @@ class Engine:
         self._leaf_choices = {
             s: sorted(set(symbols)) for s, symbols in automaton.leaf_symbols.items()
         }
+        # Only these symbols can fill a hole of size 1, resp. of size >= 3.
+        self._leaf_alphabet = sorted({a for a, arity in automaton.by_symbol if arity == 0})
+        self._node_alphabet = sorted({a for a, arity in automaton.by_symbol if arity == 2})
+        # Holes are smaller than any level sampled from, so the estimates
+        # this filter reads are final when it first reads them.  The filter
+        # reads only the table, and the completion NFAs' shared labels reach
+        # the engine through a proxy, so no reference cycle keeps a
+        # finished engine alive.
+        est = self.est_table
+        self._live_holes = HoleFilter(
+            automaton.states, lambda s, h: est.get((s, h), 0.0) > 0.0
+        )
+        self._labels: dict[tuple[str, int], _SketchLabel] = {}
+        self._proxy = weakref.proxy(self)
         self.diag = EngineDiagnostics()
         self.epoch = 0
         self._built = False
@@ -296,21 +314,20 @@ class Engine:
             return hit
         # A level estimate is positive exactly when its cell is non-empty, so
         # a tree with no run through non-empty holes has no completion.
-        if not extended_run_exists(
-            self.unrolled, t, state, lambda s, h: self.estimate(s, h) > 0.0
-        ):
+        if not extended_run_exists(self.unrolled, t, state, self._live_holes):
+            self.diag.pruned_by_run_check += 1
             self._ep_memo[key] = 0.0
             return 0.0
-        built = build_partition_nfa(
-            self.unrolled, t, state, lambda s, i: _SketchLabel(self, s, i)
-        )
-        nfa = built.nfa
+        nfa = build_partition_nfa(self.unrolled, t, state, self._label).nfa
+        self.diag.partition_nfas += 1
         value = 0.0
-        if nfa.transitions:
+        if not nfa.transitions:
+            self.diag.empty_partition_nfas += 1
+        else:
             counter = NfaCounter(
                 nfa,
                 self.params.nfa,
-                self.root_stream.child("part", self.epoch, state, level, t.text()),
+                self.root_stream.child("part", self.epoch, state, level, t),
             )
             value = counter.run()
             self.diag.nfa_clamped += counter.diag.clamped
@@ -319,6 +336,12 @@ class Engine:
             self.diag.nfa_sampler_failures += counter.diag.sampler_failures
         self._ep_memo[key] = value
         return value
+
+    def _label(self, state: str, level: int) -> _SketchLabel:
+        label = self._labels.get((state, level))
+        if label is None:
+            label = self._labels[(state, level)] = _SketchLabel(self._proxy, state, level)
+        return label
 
     # -- sampling --------------------------------------------------------------
 
@@ -335,7 +358,8 @@ class Engine:
         trace = SampleTrace()
         result = sample_tree(
             level,
-            self.base.alphabet,
+            self._leaf_alphabet,
+            self._node_alphabet,
             lambda partial: self.estimate_partition(partial, state, level),
             est,
             stream,

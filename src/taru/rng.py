@@ -9,7 +9,8 @@ what makes whole runs reproducible and order independent.
 A child's key is sha256(parent key + "/" + label + "/" + label ...).  It is
 computed only when rand() needs it, or when a descendant's key does, so a
 stream that nothing draws from costs no hash; the hashed bytes, and so every
-key, are the same as if each child had been hashed when it was made.
+key, are the same as if each child had been hashed when it was made.  A Tree
+label hashes as its text would, and that text is written only then.
 
 Since a stream's values depend on its path alone, and each consumer reads
 only the stream derived for it, a consumer whose outcome is forced (one
@@ -22,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_right
+
+from .trees import Tree
 
 
 def _encode_label(label) -> bytes:
@@ -39,6 +42,9 @@ def _encode_label(label) -> bytes:
         return b"i" + str(label).encode("ascii")
     if isinstance(label, tuple):
         return b"t(" + b",".join(_encode_label(x) for x in label) + b")"
+    if isinstance(label, Tree):
+        # The bytes of its text as a str label, written only when hashed.
+        return b"s" + label.text().encode("utf-8")
     raise TypeError(f"unsupported stream label type: {type(label)!r}")
 
 

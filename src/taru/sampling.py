@@ -38,39 +38,31 @@ def min_hole(t: Tree) -> tuple[int, ...]:
     return best[1]
 
 
-@dataclass(frozen=True)
-class ExtensionChoice:
-    hole: tuple[int, ...]
-    symbol: str
-    left: int
-    right: int
-
-
 def immediate_extensions(
-    t: Tree, address: tuple[int, ...], alphabet
-) -> list[tuple[ExtensionChoice, Tree]]:
-    """All one-step expansions of the hole at the address.
+    t: Tree, address: tuple[int, ...], leaf_symbols, node_symbols
+) -> list[Tree]:
+    """All one-step expansions of the hole at the address, symbols in sorted
+    order.
 
-    A hole of size 1 becomes a leaf; a hole of size v >= 3 becomes a node
-    with two fresh holes of sizes j and v-1-j for each j in [1, v-2].  The
-    resulting partial trees partition the completions of t over that hole.
-    Size-2 holes admit no expansion (no two-node trees with 0/2 children).
+    A hole of size 1 becomes a leaf labelled from leaf_symbols; a hole of
+    size v >= 3 becomes a node labelled from node_symbols with two fresh
+    holes of sizes j and v-1-j for each j in [1, v-2].  When the two sets
+    hold every symbol of a leaf, resp. binary, transition, the resulting
+    partial trees partition the completions of t over that hole; any other
+    symbol would only add candidates with none.  Size-2 holes admit no
+    expansion (no two-node trees with 0/2 children).
     """
     node = t.node(address)
     if not node.is_hole():
         raise SamplingError(f"no hole at address {address}")
     v = node.label
-    out = []
-    symbols = sorted(alphabet)
     if v == 1:
-        for a in symbols:
-            out.append((ExtensionChoice(address, a, 0, 0), t.replace(address, leaf(a))))
-        return out
-    for a in symbols:
-        for j in range(1, v - 1):
-            sub = Tree(a, (hole(j), hole(v - 1 - j)))
-            out.append((ExtensionChoice(address, a, j, v - 1 - j), t.replace(address, sub)))
-    return out
+        return [t.replace(address, leaf(a)) for a in sorted(leaf_symbols)]
+    return [
+        t.replace(address, Tree(a, (hole(j), hole(v - 1 - j))))
+        for a in sorted(node_symbols)
+        for j in range(1, v - 1)
+    ]
 
 
 @dataclass
@@ -93,9 +85,9 @@ class ChoiceNode:
         self.tree = tree
         self.cum = None  # set, with the rest, when the node is expanded
 
-    def expand(self, alphabet, estimator: Callable[[Tree], float]) -> None:
+    def expand(self, leaf_symbols, node_symbols, estimator: Callable[[Tree], float]) -> None:
         options, weights = [], []
-        for _, c in immediate_extensions(self.tree, min_hole(self.tree), alphabet):
+        for c in immediate_extensions(self.tree, min_hole(self.tree), leaf_symbols, node_symbols):
             w = estimator(c)
             if w > 0.0:
                 options.append(c)
@@ -115,7 +107,8 @@ class ChoiceNode:
 
 def sample_tree(
     level: int,
-    alphabet,
+    leaf_symbols,
+    node_symbols,
     estimator: Callable[[Tree], float],
     slice_estimate: float,
     stream: Stream,
@@ -123,7 +116,8 @@ def sample_tree(
     expansions: Optional[dict] = None,
 ):
     """One draw from the size-`level` trees of the language behind
-    `estimator`; returns a complete Tree, FAIL, or EMPTY.
+    `estimator`, grown with the symbols `immediate_extensions` takes;
+    returns a complete Tree, FAIL, or EMPTY.
 
     Candidates of weight zero are dropped: `weighted_index` never picks them
     and they add nothing to the total, and `Rand.pick` picks what it would.
@@ -141,7 +135,7 @@ def sample_tree(
     phi = 1.0
     while not node.tree.is_complete():
         if node.cum is None:
-            node.expand(alphabet, estimator)
+            node.expand(leaf_symbols, node_symbols, estimator)
         if node.total <= 0.0:
             return FAIL
         k = rand.pick(node.cum)

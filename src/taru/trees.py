@@ -79,7 +79,20 @@ class Tree:
                 stack.append((addr + (i,), t.children[i - 1]))
 
     def holes(self) -> list[tuple[tuple[int, ...], int]]:
-        return [(addr, t.label) for addr, t in self.nodes() if t.is_hole()]
+        """(address, size) of every hole in preorder; complete subtrees are
+        not entered."""
+        out = []
+        stack = [((), self)]
+        while stack:
+            addr, t = stack.pop()
+            if t._complete:
+                continue
+            if t.is_hole():
+                out.append((addr, t.label))
+                continue
+            for i in range(len(t.children), 0, -1):
+                stack.append((addr + (i,), t.children[i - 1]))
+        return out
 
     def replace(self, address: tuple[int, ...], subtree: "Tree") -> "Tree":
         if not address:

@@ -12,8 +12,9 @@ from taru.automata import Transition, TreeAutomaton
 from taru.cq import Atom, ConjunctiveQuery, Database, ReductionResult, Var
 from taru.applications import DnnfCircuit, Gate, NestedWordAutomaton
 from taru.oracles import brute_slice
+from taru.partition import AMP, PartitionNFA, main_path
 from taru.sampling import immediate_extensions, min_hole
-from taru.snfa import ExplicitLabel, SuccinctNFA
+from taru.snfa import ExplicitLabel, NfaTransition, SuccinctNFA, prune_to_paths
 from taru.trees import Tree, hole, leaf
 from taru.unrolling import UnrolledAutomaton
 
@@ -88,10 +89,10 @@ def random_partial_tree(rng: random.Random, alphabet, full_size: int,
         if t.is_complete():
             break
         u = min_hole(t)
-        options = immediate_extensions(t, u, alphabet)
+        options = immediate_extensions(t, u, alphabet, alphabet)
         if not options:
             break
-        t = rng.choice(options)[1]
+        t = rng.choice(options)
     return t
 
 
@@ -248,3 +249,121 @@ def answer_tree(result: ReductionResult, answer: tuple) -> Optional[Tree]:
         if result.decode_answer(t) == tuple(answer):
             return t
     return None
+
+
+# -- reference partition-NFA builder -----------------------------------------------
+
+
+def _reference_up_states(unrolled: UnrolledAutomaton, t: Tree, memo: dict) -> frozenset:
+    """States from which the partial subtree has a run, holes matching any
+    state."""
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    base = unrolled.base
+    if t.is_hole():
+        result = frozenset(base.states)
+    elif t.is_leaf():
+        result = frozenset(s for s in base.states if t.label in base.leaf_symbols.get(s, ()))
+    else:
+        kids = [_reference_up_states(unrolled, c, memo) for c in t.children]
+        result = frozenset(
+            tr.src
+            for tr in base.by_symbol.get((t.label, len(kids)), ())
+            if all(tr.children[i] in kids[i] for i in range(len(kids)))
+        )
+    memo[t] = result
+    return result
+
+
+def _reference_pair_reach(unrolled, t, start, target, up_memo) -> frozenset:
+    """Pairs (c, q): a run on the subtree at `start`, excluding everything
+    strictly below `target`, can carry state c at `start` and q at `target`."""
+    base = unrolled.base
+    if start == target:
+        return frozenset((q, q) for q in base.states)
+    node = t.node(start)
+    step = target[len(start)]
+    below = _reference_pair_reach(unrolled, t, start + (step,), target, up_memo)
+    by_child_state: dict[str, set] = {}
+    for c_state, q in below:
+        by_child_state.setdefault(c_state, set()).add(q)
+    others = [
+        (idx - 1, _reference_up_states(unrolled, node.children[idx - 1], up_memo))
+        for idx in range(1, len(node.children) + 1)
+        if idx != step
+    ]
+    found = set()
+    for tr in base.by_symbol.get((node.label, len(node.children)), ()):
+        if any(tr.children[i] not in up for i, up in others):
+            continue
+        for q in by_child_state.get(tr.children[step - 1], ()):
+            found.add((tr.src, q))
+    return frozenset(found)
+
+
+def reference_partition_nfa(unrolled: UnrolledAutomaton, t: Tree, state: str,
+                            label_factory) -> PartitionNFA:
+    """The layout-then-prune partition-NFA builder: every base state at every
+    main-path level, transitions out of all of them, then prune_to_paths.
+    The library's forward builder must return the same NFA."""
+    base = unrolled.base
+    size = t.full_size
+    labels = {"&": ExplicitLabel("&", (AMP,))}
+    if t.is_complete():
+        transitions = []
+        if t.size == size and state in base.derive_states(t):
+            transitions.append(NfaTransition("s0", "&", "se"))
+        nfa = SuccinctNFA(["s0", "se"], transitions, "s0", "se", labels, {"s0": 0, "se": 1})
+        return PartitionNFA(prune_to_paths(nfa), 0)
+    path = main_path(t)
+    k = path.k
+    up_memo: dict = {}
+
+    def label_key(hole_state, hole_size):
+        key = f"T:{hole_state}:{hole_size}"
+        if key not in labels:
+            labels[key] = label_factory(hole_state, hole_size)
+        return key
+
+    states = ["s0"] + [f"{q}@{lvl}" for lvl in range(1, k + 1) for q in sorted(base.states)]
+    states.append("se")
+    levels = {"s0": 0, "se": k + 1}
+    for lvl in range(1, k + 1):
+        for q in base.states:
+            levels[f"{q}@{lvl}"] = lvl
+    transitions = []
+    for c, q in sorted(_reference_pair_reach(unrolled, t, (), path.vertices[0], up_memo)):
+        if c == state:
+            transitions.append(NfaTransition("s0", "&", f"{q}@1"))
+    for ell in range(k - 1):
+        v = path.vertices[ell]
+        hole_step = path.holes[ell][len(v)]
+        path_step = 3 - hole_step
+        seg = _reference_pair_reach(unrolled, t, v + (path_step,), path.vertices[ell + 1],
+                                    up_memo)
+        by_child: dict[str, set] = {}
+        for c, q2 in seg:
+            by_child.setdefault(c, set()).add(q2)
+        for tr in base.by_symbol.get((t.node(v).label, 2), ()):
+            r = tr.children[hole_step - 1]
+            for q2 in sorted(by_child.get(tr.children[path_step - 1], ())):
+                transitions.append(NfaTransition(
+                    f"{tr.src}@{ell + 1}", label_key(r, path.hole_sizes[ell]), f"{q2}@{ell + 2}"
+                ))
+    last_size = path.hole_sizes[k - 1]
+    if path.terminal_is_hole:
+        for q in sorted(base.states):
+            transitions.append(NfaTransition(f"{q}@{k}", label_key(q, last_size), "se"))
+    else:
+        v = path.vertices[k - 1]
+        node = t.node(v)
+        hole_step = path.holes[k - 1][len(v)]
+        other_up = _reference_up_states(unrolled, node.children[2 - hole_step], up_memo)
+        for tr in base.by_symbol.get((node.label, 2), ()):
+            if tr.children[2 - hole_step] in other_up:
+                transitions.append(NfaTransition(
+                    f"{tr.src}@{k}", label_key(tr.children[hole_step - 1], last_size), "se"
+                ))
+    nfa = SuccinctNFA(states, transitions, "s0", "se", labels, levels)
+    return PartitionNFA(prune_to_paths(nfa), k)

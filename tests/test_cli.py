@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -307,3 +308,26 @@ def test_oracle_ecsp_budget_exit_3(files, capsys, monkeypatch):
     ecsp = files("e.json", ECSP)
     monkeypatch.setenv("TARU_BUDGET", "1")
     _assert_budget_failure(*_run(capsys, ["oracle", "--ecsp", ecsp]))
+
+
+def test_cq_count_path3_over_thirty_vertices(files, capsys):
+    """A length-3 path query over a 30-vertex graph (90 edges) counts through
+    the CLI in about a second: the estimate is pinned at seed 1 and lies
+    within epsilon of the join count, 511."""
+    rng = random.Random(1)
+    vertices = [f"v{i}" for i in range(30)]
+    edges = sorted(
+        (a, b) for a in vertices for b in rng.sample([b for b in vertices if b != a], 3)
+    )
+    q = files("q.txt", "Q(x,w) :- E(x,y), E(y,z), E(z,w).\n")
+    d = files("d.txt", "".join(f"E({a},{b}).\n" for a, b in edges))
+    code, out, _ = _run(capsys, ["cq-count", "--query", q, "--database", d, "--seed", "1"])
+    assert code == 0
+    result = _json_out(out)
+    succ: dict = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    joined = {(x, w) for x in vertices for y in succ[x] for z in succ[y] for w in succ[z]}
+    assert len(joined) == 511
+    assert result["estimate"] == 513.0
+    assert abs(result["estimate"] - 511) <= result["epsilon"] * 511

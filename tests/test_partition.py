@@ -2,19 +2,30 @@ import random
 
 import pytest
 
+from taru.automata import TreeAutomaton, encode_binary
+from taru.config import Config
+from taru.cq import gyo_join_tree, reduce_cq_to_ta
+from taru.engine import Engine
 from taru.oracles import brute_completions, brute_nfa_count, _enumerate_from
 from taru.partition import (
+    HoleFilter,
     MainPathError,
     build_partition_nfa,
     extended_run_exists,
     main_path,
     up_states,
 )
+from taru.sampling import immediate_extensions, min_hole
 from taru.snfa import LabelOracle, OracleExhausted
 from taru.trees import Tree, hole, leaf, parse_tree
 from taru.unrolling import UnrolledAutomaton
 
-from genutil import nonempty_levels, random_binary_automaton, random_partial_tree
+from genutil import (
+    nonempty_levels,
+    random_binary_automaton,
+    random_partial_tree,
+    reference_partition_nfa,
+)
 
 
 class EnumeratedTreeLabel(LabelOracle):
@@ -148,9 +159,10 @@ def test_extended_run_with_nonempty_filter_matches_completions(fig3):
     u = UnrolledAutomaton(fig3, 9)
     alive = nonempty_levels(u)
     rng = random.Random(17)
+    live = HoleFilter(fig3.states, lambda s, h: alive[(s, h)])  # one memo for all trees
     for _ in range(120):
         t = random_partial_tree(rng, {"a"}, 9, rng.randint(0, 4))
-        has = extended_run_exists(u, t, "s", hole_filter=lambda s, h: alive[(s, h)])
+        has = extended_run_exists(u, t, "s", live)
         completions = brute_completions(fig3, t, "s", 9, budget=None)
         assert has == (len(completions) > 0)
 
@@ -227,3 +239,82 @@ def test_partition_nfa_size_bound(fig3):
             continue
         built = build_partition_nfa(u, t, "s", exact_label_factory(fig3))
         assert built.nfa.size() <= bound
+
+
+class KeyLabel(LabelOracle):
+    """A label that only names its (state, size); enough to compare layouts."""
+
+    def __init__(self, state, size):
+        self.key = f"T:{state}:{size}"
+
+    def size_bound_bits(self):
+        return 1.0
+
+
+def _assert_same_nfa(got, want):
+    assert got.hole_count == want.hole_count
+    assert got.nfa.states == want.nfa.states
+    assert got.nfa.transitions == want.nfa.transitions
+    assert sorted(got.nfa.labels) == sorted(want.nfa.labels)
+    assert all(label.key == key for key, label in got.nfa.labels.items())
+    assert got.nfa.levels == want.nfa.levels
+
+
+def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan, mixed,
+                                                                   q1_d1):
+    """Along random smallest-hole-first walks, every candidate of the full
+    alphabet gets the same partition NFA from the forward builder as from the
+    layout-then-prune reference, and the engine's live-symbol candidates of
+    positive weight are exactly the full alphabet's, in the same order."""
+    rng = random.Random(41)
+    red = reduce_cq_to_ta(*q1_d1, gyo_join_tree(q1_d1[0]))
+    cases = [(fig3, 9), (catalan, 9), (mixed, 9), (encode_binary(red.automaton), 2 * red.n - 1)]
+    cases += [(random_binary_automaton(rng, n_symbols=3), 7) for _ in range(6)]
+    built = live = narrowed = 0
+    for automaton, n in cases:
+        engine = Engine(automaton, n, Config(seed=1))
+        engine.build()
+        alphabet = sorted(automaton.alphabet)
+        states = sorted(automaton.states)
+        for _ in range(10):
+            state = rng.choice(states)
+            level = rng.choice(range(3, n + 1, 2))
+            t = hole(level)
+            while not t.is_complete():
+                addr = min_hole(t)
+                full = immediate_extensions(t, addr, alphabet, alphabet)
+                if not full:
+                    break
+                filtered = immediate_extensions(
+                    t, addr, engine._leaf_alphabet, engine._node_alphabet
+                )
+                narrowed += len(filtered) < len(full)
+                weights = {c: engine.estimate_partition(c, state, level) for c in full}
+                assert ([c for c in filtered if weights[c] > 0.0]
+                        == [c for c in full if weights[c] > 0.0])
+                for c in full:
+                    _assert_same_nfa(
+                        build_partition_nfa(engine.unrolled, c, state, KeyLabel),
+                        reference_partition_nfa(engine.unrolled, c, state, KeyLabel),
+                    )
+                    built += 1
+                positive = [c for c in full if weights[c] > 0.0]
+                live += bool(positive)
+                t = rng.choice(positive if positive and rng.random() < 0.8 else full)
+    assert built > 1000 and live > 100 and narrowed > 100
+
+    # A chain segment through a completed node, where one state reaches
+    # several next ones: a(7, a(a, a(1,1))) when every child pair is allowed.
+    fan = TreeAutomaton(
+        {"x", "y"}, {"a"},
+        [(p, "a", (c, d)) for p in "xy" for c in "xy" for d in "xy"]
+        + [("x", "a", ()), ("y", "a", ())],
+        "x",
+    )
+    t = parse_tree("a(7,a(a,a(1,1)))")
+    for state in ("x", "y"):
+        got = build_partition_nfa(UnrolledAutomaton(fan, 13), t, state, KeyLabel)
+        want = reference_partition_nfa(UnrolledAutomaton(fan, 13), t, state, KeyLabel)
+        _assert_same_nfa(got, want)
+        fanned = {(tr.src, tr.label) for tr in want.nfa.transitions}
+        assert len(fanned) < len(want.nfa.transitions)

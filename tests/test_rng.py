@@ -5,6 +5,7 @@ must return what Rand.weighted_index returns, index for index."""
 import random
 
 from taru.rng import Rand, Stream, cumulative
+from taru.trees import parse_tree
 
 
 def test_child_keys_are_pinned():
@@ -31,6 +32,15 @@ def test_lazy_grandchild_key_matches_eager_one():
     eager = middle.child("c")
     assert lazy._key == eager._key
     assert lazy.rand().random() == eager.rand().random()
+
+
+def test_tree_label_hashes_as_its_text_and_writes_it_only_then():
+    t = parse_tree('a(3,b("x y",1))')
+    lazy = Stream.from_seed(3).child("part", 0, "s", 9, t)
+    assert t._text is None
+    key = lazy._key
+    assert t._text is not None
+    assert key == Stream.from_seed(3).child("part", 0, "s", 9, t.text())._key
 
 
 def test_bool_and_int_labels_differ():

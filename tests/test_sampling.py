@@ -48,17 +48,16 @@ def test_min_hole_requires_a_hole():
 
 def test_extensions_leaf_fill():
     t = hole(1)
-    out = immediate_extensions(t, (), {"a", "b"})
-    assert len(out) == 2
-    assert {x[1].label for x in out} == {"a", "b"}
+    out = immediate_extensions(t, (), {"a", "b"}, {"a"})
+    assert [x.label for x in out] == ["a", "b"]
 
 
 def test_extensions_split_counts():
     t = hole(5)
-    out = immediate_extensions(t, (), {"a"})
+    out = immediate_extensions(t, (), {"b"}, {"a"})
     assert len(out) == 3  # j in {1, 2, 3}
-    assert all(x[1].full_size == 5 for x in out)
-    assert immediate_extensions(hole(2), (), {"a"}) == []
+    assert all(x.full_size == 5 and x.label == "a" for x in out)
+    assert immediate_extensions(hole(2), (), {"a"}, {"a"}) == []
 
 
 def test_extensions_partition_completions(catalan):
@@ -72,7 +71,7 @@ def test_extensions_partition_completions(catalan):
         u = min_hole(t)
         parent = set(brute_completions(catalan, t, "r", size, budget=None))
         union = set()
-        for _, child in immediate_extensions(t, u, {"a"}):
+        for child in immediate_extensions(t, u, {"a"}, {"a"}):
             part = set(brute_completions(catalan, child, "r", size, budget=None))
             assert not (union & part), "extension completions overlap"
             union |= part
@@ -80,7 +79,7 @@ def test_extensions_partition_completions(catalan):
 
 
 def test_sample_tree_empty():
-    out = sample_tree(3, {"a"}, lambda t: 1.0, 0.0, Stream.from_seed(0))
+    out = sample_tree(3, {"a"}, {"a"}, lambda t: 1.0, 0.0, Stream.from_seed(0))
     assert out == EMPTY
 
 
@@ -100,7 +99,7 @@ def test_sample_tree_unique_language():
 
     seen = set()
     for i in range(40):
-        out = sample_tree(5, {"a"}, estimator, 1.0, Stream.from_seed(i))
+        out = sample_tree(5, {"a"}, {"a"}, estimator, 1.0, Stream.from_seed(i))
         if isinstance(out, Tree):
             seen.add(out)
     assert seen == {target}
@@ -112,7 +111,7 @@ def _unpruned_sample_tree(level, alphabet, estimator, slice_estimate, stream):
     t = hole(level)
     phi = 1.0
     while not t.is_complete():
-        options = [c for _, c in immediate_extensions(t, min_hole(t), alphabet)]
+        options = immediate_extensions(t, min_hole(t), alphabet, alphabet)
         weights = [estimator(c) for c in options]
         if sum(weights) <= 0.0:
             return FAIL
@@ -136,9 +135,9 @@ def test_sample_tree_expansion_memo_changes_no_draw():
     for est in (estimator, pruning_estimator):
         expansions = {}
         for i in range(30):
-            plain = sample_tree(7, {"a", "b"}, est, 50.0, Stream.from_seed(i))
+            plain = sample_tree(7, {"a", "b"}, {"a", "b"}, est, 50.0, Stream.from_seed(i))
             shared = sample_tree(
-                7, {"a", "b"}, est, 50.0, Stream.from_seed(i), None, expansions
+                7, {"a", "b"}, {"a", "b"}, est, 50.0, Stream.from_seed(i), None, expansions
             )
             assert shared == plain
             assert plain == _unpruned_sample_tree(
@@ -152,7 +151,8 @@ def test_sample_tree_expansion_memo_changes_no_draw():
             expanded.append(node)
             nodes.extend(c for c in node.children if c is not None)
     assert any(len(node.options)
-               < len(immediate_extensions(node.tree, min_hole(node.tree), {"a", "b"}))
+               < len(immediate_extensions(node.tree, min_hole(node.tree), {"a", "b"},
+                                          {"a", "b"}))
                for node in expanded)
 
 
@@ -160,7 +160,7 @@ def test_sample_tree_pass_count_bookkeeping():
     """One loop pass per node: a size-i draw makes exactly i expansions, and
     the branch product matches the recorded ratios."""
     trace = SampleTrace()
-    out = sample_tree(7, {"a"}, lambda t: 1.0, 5.0, Stream.from_seed(3), trace)
+    out = sample_tree(7, {"a"}, {"a"}, lambda t: 1.0, 5.0, Stream.from_seed(3), trace)
     assert trace.passes == 7
     assert out == FAIL or isinstance(out, Tree)
     assert 0.0 < trace.branch_product <= 1.0
