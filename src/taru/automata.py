@@ -23,6 +23,10 @@ from .trees import Tree, leaf
 
 EXT = "@"
 
+# derive_states recurses only into trees of at most this many nodes, so at
+# most this deep; a larger tree's subtrees are derived bottom up first.
+_RECURSIVE_SIZE = 256
+
 
 class AutomatonError(ValueError):
     pass
@@ -129,6 +133,19 @@ class TreeAutomaton:
         cached = self._derive_cache.get(tree)
         if cached is not None:
             return cached
+        if tree.size > _RECURSIVE_SIZE:
+            # Perhaps too deep to recurse: derive the uncached subtrees first,
+            # in reverse preorder (each after its descendants), so that the
+            # recursion below stops at the children.
+            order = []
+            stack = list(tree.children)
+            while stack:
+                node = stack.pop()
+                if node not in self._derive_cache:
+                    order.append(node)
+                    stack.extend(node.children)
+            for node in reversed(order):
+                self.derive_states(node)
         if tree.label not in self.alphabet:
             raise UndeclaredSymbolError(
                 f"tree label {tree.label!r} is not in the automaton alphabet"
@@ -155,48 +172,21 @@ class TreeAutomaton:
         if not ok:
             return False, None
         run: dict[tuple[int, ...], str] = {}
-
-        def assign(addr: tuple[int, ...], node: Tree, state: str):
+        stack = [((), tree, self.initial)]  # preorder, without recursion
+        while stack:
+            addr, node, state = stack.pop()
             run[addr] = state
             child_sets = [self.derive_states(c) for c in node.children]
             for t in self.by_symbol.get((node.label, len(node.children)), ()):
                 if t.src != state:
                     continue
                 if all(t.children[i] in child_sets[i] for i in range(len(child_sets))):
-                    for i, c in enumerate(node.children):
-                        assign(addr + (i + 1,), c, t.children[i])
-                    return
-            raise AssertionError("derive_states admitted a state with no transition")
-
-        assign((), tree, self.initial)
+                    for i in range(len(node.children), 0, -1):
+                        stack.append((addr + (i,), node.children[i - 1], t.children[i - 1]))
+                    break
+            else:
+                raise AssertionError("derive_states admitted a state with no transition")
         return True, run
-
-    def count_runs(self, tree: Tree, state: Optional[str] = None) -> int:
-        """Number of distinct runs deriving the tree from the given state."""
-        state = self.initial if state is None else state
-        memo: dict[tuple[Tree, str], int] = {}
-
-        def go(node: Tree, s: str) -> int:
-            key = (node, s)
-            if key in memo:
-                return memo[key]
-            total = 0
-            for t in self.by_symbol.get((node.label, len(node.children)), ()):
-                if t.src != s:
-                    continue
-                prod = 1
-                for i, c in enumerate(node.children):
-                    prod *= go(c, t.children[i])
-                    if prod == 0:
-                        break
-                total += prod
-            memo[key] = total
-            return total
-
-        return go(tree, state)
-
-    def with_initial(self, state: str) -> "TreeAutomaton":
-        return TreeAutomaton(self.states, self.alphabet, self.transitions, state, self.arity)
 
 
 def merge_initial_states(

@@ -551,6 +551,9 @@ class CqSampler:
         self.reduction = reduce_cq_to_ta(query, db, hd, max_width)
         self.handle = LanguageSampler(self.reduction.automaton, self.reduction.n, config)
         self.inner = FpausSampler(self.handle)
+        # Answers by drawn tree; a repeat draw usually returns the same
+        # object, so most lookups hit by identity.
+        self._answers: dict[Tree, tuple] = {}
 
     def count(self) -> CountResult:
         result = self.handle.count()
@@ -560,9 +563,12 @@ class CqSampler:
 
     def draw(self):
         t = self.inner.draw()
-        if t == BOT:
+        if not isinstance(t, Tree):  # BOT; tested without calling Tree.__eq__
             return BOT
-        return self.reduction.decode_answer(t)
+        answer = self._answers.get(t)
+        if answer is None:
+            answer = self._answers[t] = self.reduction.decode_answer(t)
+        return answer
 
 
 def sample_cq(query, db, hd, config: Config, max_width=None) -> CqSampler:
@@ -632,4 +638,6 @@ def count_ucq(
     if done < trials:
         raise EngineFail("union sampling starved; disjunct samplers keep failing")
     cert["trials"] = trials
+    cert["draw_attempts"] = attempts
+    cert["distinct_answers"] = len(first_of)
     return CountResult(total * hits / trials, cert)

@@ -396,8 +396,11 @@ class LanguageSampler:
 
     A non-binary automaton is encoded and handled at size 2n-1, and draws are
     decoded back.  A binary slice of even size is empty and builds no engine.
-    Each draw retries the core sampler up to three times; every emitted tree
-    is membership-checked before being returned.
+    Each draw retries the core sampler up to three times.  Each distinct
+    emitted tree is decoded and membership-checked before it is first
+    returned; a repeat returns the tree that passed, found by identity when
+    the engine hands back its choice tree's own object and by value
+    otherwise.  A tree that fails is not remembered and fails on every draw.
     """
 
     def __init__(self, automaton: TreeAutomaton, n: int, config: Config):
@@ -413,6 +416,7 @@ class LanguageSampler:
             self.engine.build()
         self.empty = self.estimate() <= 0.0
         self._next = 0
+        self._passed: dict[Tree, Tree] = {}  # engine tree -> checked output
 
     @cached_property
     def _draw_stream(self) -> Stream:
@@ -447,9 +451,12 @@ class LanguageSampler:
                 self._draw_stream.child(index, attempt),
             )
             if isinstance(t, Tree):
-                out = decode_tree(t) if self.encoded else t
-                if out.size != self.n or not self.automaton.accepts(out):
-                    raise AssertionError("sampler emitted a non-member tree")
+                out = self._passed.get(t)
+                if out is None:
+                    out = decode_tree(t) if self.encoded else t
+                    if out.size != self.n or not self.automaton.accepts(out):
+                        raise AssertionError("sampler emitted a non-member tree")
+                    self._passed[t] = out
                 return out
             if t == EMPTY:
                 return EMPTY

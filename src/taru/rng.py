@@ -12,6 +12,10 @@ stream that nothing draws from costs no hash; the hashed bytes, and so every
 key, are the same as if each child had been hashed when it was made.  A Tree
 label hashes as its text would, and that text is written only then.
 
+A stream's generator is a Mersenne Twister seeded with its key read as a
+big-endian integer, made by the C type _random.Random: for an int seed it
+gives random.Random's sequence without the Python-level seed wrapper.
+
 Since a stream's values depend on its path alone, and each consumer reads
 only the stream derived for it, a consumer whose outcome is forced (one
 symbol to choose from, one distinct tree to replay) skips rand() altogether:
@@ -21,7 +25,7 @@ no other value can change.
 from __future__ import annotations
 
 import hashlib
-import random
+from _random import Random
 from bisect import bisect_right
 
 from .trees import Tree
@@ -85,16 +89,18 @@ class Stream:
 
 
 class Rand:
-    """Thin wrapper over random.Random exposing only stable primitives.
+    """Thin wrapper over a Mersenne Twister exposing only stable primitives.
 
-    Only Random.random() is documented to keep its sequence across Python
-    versions, so every helper here is built on it.
+    Only random() is documented to keep its sequence across Python versions,
+    so every helper here is built on it.
     """
 
     __slots__ = ("_r",)
 
     def __init__(self, seed: int):
-        self._r = random.Random(seed)
+        # The C type seeded directly: for an int seed, random.Random's
+        # sequence.
+        self._r = Random(seed)
 
     def random(self) -> float:
         return self._r.random()

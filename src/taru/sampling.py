@@ -67,7 +67,6 @@ def immediate_extensions(
 
 @dataclass
 class SampleTrace:
-    passes: int = 0
     branch_product: float = 1.0
     clamped: bool = False
 
@@ -141,8 +140,6 @@ def sample_tree(
         k = rand.pick(node.cum)
         phi *= node.weights[k] / node.total
         node = node.child(k)
-        if trace is not None:
-            trace.passes += 1
     if trace is not None:
         trace.branch_product = phi
     accept = 1.0 / (2.0 * phi * slice_estimate)

@@ -261,37 +261,6 @@ def tree_from_json(obj) -> Tree:
     return Tree(label, tuple(tree_from_json(c) for c in kids))
 
 
-def all_shapes(n: int, arities: tuple[int, ...]) -> list[Tree]:
-    """All unlabeled ordered tree shapes with n nodes and node arities from
-    the given set (0 is always allowed).  Labels are None placeholders."""
-    memo: dict[int, list[Tree]] = {}
-
-    def seqs(total: int, parts: int) -> Iterator[tuple[Tree, ...]]:
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(1, total - parts + 2):
-            for t in build(first):
-                for rest in seqs(total - first, parts - 1):
-                    yield (t,) + rest
-
-    def build(m: int) -> list[Tree]:
-        if m in memo:
-            return memo[m]
-        out = []
-        if m == 1:
-            out.append(Tree("?", ()))
-        for k in arities:
-            if k >= 1 and m - 1 >= k:
-                for kids in seqs(m - 1, k):
-                    out.append(Tree("?", kids))
-        memo[m] = out
-        return out
-
-    return build(n)
-
-
 def count_shapes(n: int, arities: tuple[int, ...]) -> int:
     """Number of unlabeled ordered tree shapes with n nodes (arity in set)."""
     memo: dict[tuple[int, int], int] = {}

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from taru.automata import Transition, TreeAutomaton
 from taru.cq import Atom, ConjunctiveQuery, Database, ReductionResult, Var
@@ -241,6 +241,68 @@ def nonempty_levels(u: UnrolledAutomaton) -> dict[tuple[str, int], bool]:
                 for _, j, q, r in transitions_at(u, s, i)
             )
     return table
+
+
+def with_initial(automaton: TreeAutomaton, state: str) -> TreeAutomaton:
+    """The same automaton, started from another state."""
+    return TreeAutomaton(automaton.states, automaton.alphabet, automaton.transitions,
+                         state, automaton.arity)
+
+
+def count_runs(automaton: TreeAutomaton, tree: Tree, state: Optional[str] = None) -> int:
+    """Number of distinct runs deriving the tree from the given state (the
+    initial one by default)."""
+    memo: dict[tuple[Tree, str], int] = {}
+
+    def go(node: Tree, s: str) -> int:
+        key = (node, s)
+        if key in memo:
+            return memo[key]
+        total = 0
+        for t in automaton.by_symbol.get((node.label, len(node.children)), ()):
+            if t.src != s:
+                continue
+            prod = 1
+            for i, c in enumerate(node.children):
+                prod *= go(c, t.children[i])
+                if prod == 0:
+                    break
+            total += prod
+        memo[key] = total
+        return total
+
+    return go(tree, automaton.initial if state is None else state)
+
+
+def all_shapes(n: int, arities: tuple[int, ...]) -> list[Tree]:
+    """All unlabeled ordered tree shapes with n nodes and node arities from
+    the given set (0 is always allowed).  Labels are "?" placeholders."""
+    memo: dict[int, list[Tree]] = {}
+
+    def seqs(total: int, parts: int) -> Iterator[tuple[Tree, ...]]:
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(1, total - parts + 2):
+            for t in build(first):
+                for rest in seqs(total - first, parts - 1):
+                    yield (t,) + rest
+
+    def build(m: int) -> list[Tree]:
+        if m in memo:
+            return memo[m]
+        out = []
+        if m == 1:
+            out.append(Tree("?", ()))
+        for k in arities:
+            if k >= 1 and m - 1 >= k:
+                for kids in seqs(m - 1, k):
+                    out.append(Tree("?", kids))
+        memo[m] = out
+        return out
+
+    return build(n)
 
 
 def answer_tree(result: ReductionResult, answer: tuple) -> Optional[Tree]:

@@ -16,7 +16,7 @@ from taru.automata import (
 from taru.oracles import brute_slice
 from taru.trees import Tree, leaf, parse_tree
 
-from genutil import random_kary_automaton, random_ktree
+from genutil import count_runs, random_kary_automaton, random_ktree
 
 
 def exhaustive_accepts(automaton: TreeAutomaton, tree: Tree) -> bool:
@@ -78,8 +78,68 @@ def test_accepts_agrees_with_exhaustive_runs():
     assert checked == 60
 
 
+def _caterpillar(spine: int) -> Tree:
+    t = leaf("a")
+    for _ in range(spine):
+        t = Tree("f", (leaf("b"), t))
+    return t
+
+
+def test_deep_caterpillar_is_accepted_without_recursion_error():
+    """The 4001-node caterpillar of test_deep_caterpillar_round_trips, with
+    and without a witness run."""
+    aut = TreeAutomaton({"t", "l"}, {"f", "a", "b"},
+                        [("t", "f", ("l", "t")), ("l", "b", ()), ("t", "a", ())], "t")
+    t = _caterpillar(2000)
+    assert t.size == 4001
+    assert aut.derive_states(t) == {"t"}
+    assert aut.accepts(t)
+    ok, run = aut.accepts(t, witness=True)
+    assert ok and len(run) == 4001
+    assert run[()] == run[(2,) * 2000] == "t" and run[(2,) * 1999 + (1,)] == "l"
+    assert not aut.accepts(Tree("f", (t, leaf("b"))))
+    with pytest.raises(UndeclaredSymbolError):
+        aut.accepts(Tree("f", (leaf("b"), Tree("f", (leaf("z"), t)))))
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="Tree.__eq__ recurses: a deep tree equal to a cached one "
+                          "but built apart is compared node by node")
+def test_deep_caterpillar_built_twice_is_accepted():
+    """The derive cache is keyed by value, so looking up a second, separately
+    built copy of a cached deep tree still recurses in Tree.__eq__."""
+    aut = TreeAutomaton({"t", "l"}, {"f", "a", "b"},
+                        [("t", "f", ("l", "t")), ("l", "b", ()), ("t", "a", ())], "t")
+    t = _caterpillar(2000)
+    assert aut.accepts(t)
+    assert aut.accepts(parse_tree(t.text()))
+
+
+def test_large_trees_derive_the_states_with_runs():
+    """Trees past the recursive size derive exactly the states that have a
+    run, as small ones do.  State u derives every tree, so that random
+    transitions into it leave large trees some runs."""
+    rng = random.Random(19)
+    states, symbols = ["s0", "s1", "s2", "u"], ["a", "b"]
+    derived_any = set()
+    for trial in range(20):
+        transitions = [("u", a, ("u",) * k) for a in symbols for k in range(4)]
+        transitions += [
+            (rng.choice(states[:3]), rng.choice(symbols),
+             tuple(rng.choice(states) for _ in range(rng.randint(0, 3))))
+            for _ in range(10)
+        ]
+        aut = TreeAutomaton(states, symbols, transitions, "s0")
+        tree = random_ktree(rng, symbols, 3, rng.randint(257, 700))
+        derived = aut.derive_states(tree)
+        for state in states:
+            assert (state in derived) == (count_runs(aut, tree, state) > 0)
+        derived_any |= derived
+    assert derived_any - {"u"}  # not only the universal state
+
+
 def test_count_runs_on_fig3_witness(fig3, fig3_t2):
-    assert fig3.count_runs(fig3_t2) == 2
+    assert count_runs(fig3, fig3_t2) == 2
 
 
 def test_encode_tree_sizes_and_round_trip():

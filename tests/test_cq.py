@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from taru.automata import TreeAutomaton
 from taru.config import Config
 from taru.cq import (
     Atom,
@@ -14,6 +15,7 @@ from taru.cq import (
     HypertreeDecomposition,
     NotAcyclic,
     QueryError,
+    ReductionResult,
     Var,
     brute_cq_count,
     complete_decomposition,
@@ -302,6 +304,34 @@ def test_ucq_checks_each_drawn_answer_once(monkeypatch):
     assert set(checked) == {("1",), ("2",), ("3",), ("4",)}
     assert len(checked) <= 2 * len(set(checked))
     assert res.estimate == 4.0379403794037945
+    assert res.certificate["draw_attempts"] == 2952  # no draw came back bottom
+    assert res.certificate["distinct_answers"] == 4
+
+
+def test_cq_handle_checks_and_decodes_each_distinct_tree_once(monkeypatch):
+    """Membership and answer decoding run once per distinct drawn tree; the
+    reduction is parsimonious, so once per distinct answer."""
+    calls = {"accepts": 0, "decode_answer": 0}
+    accepts, decode_answer = TreeAutomaton.accepts, ReductionResult.decode_answer
+
+    def counted_accepts(self, tree, witness=False):
+        calls["accepts"] += 1
+        return accepts(self, tree, witness)
+
+    def counted_decode(self, tree):
+        calls["decode_answer"] += 1
+        return decode_answer(self, tree)
+
+    monkeypatch.setattr(TreeAutomaton, "accepts", counted_accepts)
+    monkeypatch.setattr(ReductionResult, "decode_answer", counted_decode)
+    q = ConjunctiveQuery("Q", ("x", "y"), (Atom("A", (Var("x"),)), Atom("B", (Var("y"),))))
+    db = Database({"A": {("1",), ("2",), ("3",)}, "B": {("3",), ("4",)}})
+    sampler = sample_cq(q, db, None, Config(seed=3))
+    answers = [a for a in (sampler.draw() for _ in range(80)) if a != BOT]
+    distinct = set(answers)
+    assert len(answers) > len(distinct) > 1
+    assert distinct <= {(x, y) for x in "123" for y in "34"}
+    assert calls == {"accepts": len(distinct), "decode_answer": len(distinct)}
 
 
 def test_ucq_arity_mismatch():

@@ -21,7 +21,7 @@ from taru.rng import Stream
 from taru.snfa import OracleExhausted
 from taru.trees import Tree, hole, parse_tree
 
-from genutil import random_binary_automaton
+from genutil import random_binary_automaton, with_initial
 
 
 def test_level_one_exact(fig3):
@@ -37,7 +37,7 @@ def test_level_one_matches_brute(catalan, fig3, mixed):
         engine = Engine(automaton, 1, Config())
         engine.build()
         for state in automaton.states:
-            truth = len(brute_slice(automaton.with_initial(state), 1, budget=None))
+            truth = len(brute_slice(with_initial(automaton, state), 1, budget=None))
             assert engine.estimate(state, 1) == float(truth)
 
 
@@ -488,3 +488,30 @@ def test_pruned_partial_trees_have_zero_nfa_estimates(monkeypatch, fig3):
     unpruned.build()
     for t, state in pruned:
         assert unpruned.estimate_partition(t, state, t.full_size) == 0.0
+
+
+def test_every_draw_of_a_non_member_raises(fig3, fig3_t1):
+    """Only trees that passed are remembered: a non-member fails its check on
+    the first draw and again on a later one."""
+    handle = LanguageSampler(fig3, 9, Config(seed=1))
+    assert not handle.empty and not fig3.accepts(fig3_t1)
+    handle.engine.sample = lambda state, level, stream: fig3_t1
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="non-member"):
+            handle.draw()
+
+
+def test_each_distinct_draw_is_checked_once(monkeypatch, fig3):
+    """A repeat of a drawn tree returns the object that passed, unchecked."""
+    checked = []
+    accepts = TreeAutomaton.accepts
+
+    def counted(self, tree, witness=False):
+        checked.append(tree)
+        return accepts(self, tree, witness)
+
+    monkeypatch.setattr(TreeAutomaton, "accepts", counted)
+    handle = LanguageSampler(fig3, 13, Config(seed=2))
+    drawn = [t for t in (handle.draw() for _ in range(60)) if isinstance(t, Tree)]
+    assert len(drawn) > len(set(drawn)) > 1
+    assert sorted(map(id, checked)) == sorted({id(t) for t in drawn})

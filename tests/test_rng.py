@@ -1,10 +1,13 @@
 """Stream keys and Rand values pinned to numbers recorded before stream keys
-were derived lazily; any change to them moves every seeded result.  Rand.pick
-must return what Rand.weighted_index returns, index for index."""
+were derived lazily; any change to them moves every seeded result.  A lazily
+resolved key must be its definition, and Rand must give random.Random's
+sequence.  Rand.pick must return what Rand.weighted_index returns, index for
+index."""
 
+import hashlib
 import random
 
-from taru.rng import Rand, Stream, cumulative
+from taru.rng import Rand, Stream, _encode_label, cumulative
 from taru.trees import parse_tree
 
 
@@ -47,6 +50,46 @@ def test_bool_and_int_labels_differ():
     root = Stream.from_seed(1)
     assert root.child(True)._key != root.child(1)._key
     assert root.child(False)._key != root.child(0)._key
+
+
+def _reference_key(parent_key: bytes, labels: tuple) -> bytes:
+    """The key by its definition: sha256 over the parent key and each
+    label's generic encoding."""
+    return hashlib.sha256(parent_key + b"".join(
+        b"/" + _encode_label(label) for label in labels)).digest()
+
+
+_LABEL_TUPLES = [
+    ("draws",),
+    (5, 1),
+    ("sketch", 0, "q|x=\u00e9", 7, 123456789012345678901234567890, -3),
+    (True, False, 1, 0),
+    (("walk", 3, (0, "s")), "x"),
+    ("part", 0, "s", 9, parse_tree('a(3,b("x y",1))')),
+]
+
+
+def test_keys_are_the_definition_under_hashed_and_unhashed_parents():
+    """The lazy chain gives each key its definition, whether the parent was
+    hashed before the child was made or is resolved along with it."""
+    for first in _LABEL_TUPLES:
+        root = Stream.from_seed(5)
+        parent = root.child(*first)
+        parent_key = _reference_key(root._key, first)
+        assert parent._key == parent_key  # hashed before its child is made
+        for second in _LABEL_TUPLES:
+            assert parent.child(*second)._key == _reference_key(parent_key, second)
+            grandchild = root.child(*first).child("mid").child(*second)
+            assert grandchild._key == _reference_key(
+                _reference_key(parent_key, ("mid",)), second)
+
+
+def test_rand_gives_the_sequence_of_random_random():
+    rng = random.Random(13)
+    for _ in range(200):
+        seed = rng.getrandbits(256)
+        ours, theirs = Rand(seed), random.Random(seed)
+        assert [ours.random() for _ in range(3)] == [theirs.random() for _ in range(3)]
 
 
 # -- Rand.pick against Rand.weighted_index ------------------------------------

@@ -157,10 +157,20 @@ def test_sample_tree_expansion_memo_changes_no_draw():
 
 
 def test_sample_tree_pass_count_bookkeeping():
-    """One loop pass per node: a size-i draw makes exactly i expansions, and
-    the branch product matches the recorded ratios."""
+    """One loop pass per node: a size-i draw expands exactly i nodes on its
+    path, and the branch product matches the recorded ratios."""
     trace = SampleTrace()
-    out = sample_tree(7, {"a"}, {"a"}, lambda t: 1.0, 5.0, Stream.from_seed(3), trace)
-    assert trace.passes == 7
+    expansions = {}
+    out = sample_tree(7, {"a"}, {"a"}, lambda t: 1.0, 5.0, Stream.from_seed(3), trace,
+                      expansions)
     assert out == FAIL or isinstance(out, Tree)
+    expanded, phi, node = 0, 1.0, expansions[7]
+    while node.cum is not None:
+        expanded += 1
+        (k,) = [k for k, c in enumerate(node.children) if c is not None]
+        phi *= node.weights[k] / node.total
+        node = node.children[k]
+    assert expanded == 7
+    assert node.tree.is_complete() and node.tree.size == 7
+    assert trace.branch_product == phi
     assert 0.0 < trace.branch_product <= 1.0

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from taru.trees import (
     Tree,
     TreeParseError,
-    all_shapes,
     count_shapes,
     hole,
     leaf,
@@ -12,6 +11,8 @@ from taru.trees import (
     serialize_tree,
     tree_from_json,
 )
+
+from genutil import all_shapes
 
 
 def test_basic_sizes():

@@ -1,7 +1,7 @@
 from taru.oracles import brute_slice
 from taru.unrolling import UnrolledAutomaton
 
-from genutil import as_tree_automaton, nonempty_levels, transitions_at
+from genutil import as_tree_automaton, nonempty_levels, transitions_at, with_initial
 
 
 def test_level_one_only_leaf_transitions(catalan):
@@ -23,8 +23,8 @@ def test_unrolled_slices_match_base(fig3):
     assert want == got
     for state in fig3.states:
         for level in (1, 3, 5):
-            base_level = set(brute_slice(fig3.with_initial(state), level, budget=None).trees)
-            leveled_state = leveled.with_initial(f"{state}@{level}")
+            base_level = set(brute_slice(with_initial(fig3, state), level, budget=None).trees)
+            leveled_state = with_initial(leveled, f"{state}@{level}")
             assert set(brute_slice(leveled_state, level, budget=None).trees) == base_level
 
 
@@ -48,7 +48,7 @@ def test_nonempty_levels(catalan, fig3):
     assert table3[("s", 7)] and not table3[("s", 5)]
     assert not table3[("q", 1)]
     for (state, level), alive in table3.items():
-        truth = len(brute_slice(fig3.with_initial(state), level, budget=None)) > 0
+        truth = len(brute_slice(with_initial(fig3, state), level, budget=None)) > 0
         assert alive == truth
 
 
