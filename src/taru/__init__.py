@@ -41,7 +41,6 @@ from .snfa import (
     count_succinct_nfa,
     sample_word,
     unroll_nfa,
-    word_membership,
 )
 from .trees import Tree, hole, leaf, parse_tree, serialize_tree
 from .unrolling import UnrolledAutomaton

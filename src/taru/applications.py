@@ -75,25 +75,6 @@ def ecsp_to_cq(e: Ecsp) -> tuple[ConjunctiveQuery, Database]:
     return query, Database(relations)
 
 
-def cq_to_ecsp(query: ConjunctiveQuery, db: Database) -> Ecsp:
-    """Reverse translation (test helper); the query must be constant-free."""
-    constraints = []
-    for atom in query.atoms:
-        scope = []
-        for term in atom.args:
-            if not isinstance(term, Var):
-                raise QueryError("reverse translation needs a constant-free query")
-            scope.append(term.name)
-        constraints.append((tuple(scope), db.tuples(atom.rel)))
-    domain = tuple(sorted(db.active_domain()))
-    return Ecsp(
-        tuple(dict.fromkeys(query.head)),
-        query.variables(),
-        domain,
-        tuple(constraints),
-    )
-
-
 def brute_ecsp_count(e: Ecsp, budget: int = 10_000_000) -> int:
     """Exact solution-projection count by full assignment enumeration."""
     total = len(e.domain) ** len(e.variables)

@@ -24,7 +24,7 @@ from .applications import (
     truth_table_count,
 )
 from .automata import AutomatonError
-from .config import Config, ConfigError
+from .config import Config, ConfigError, certificate
 from .cq import (
     QueryError,
     brute_cq_count,
@@ -32,7 +32,7 @@ from .cq import (
     count_ucq,
     sample_cq,
 )
-from .engine import BOT, Engine, EngineFail, LanguageSampler, fpras_ta
+from .engine import BOT, CountResult, Engine, EngineFail, LanguageSampler, fpras_ta
 from .formats import (
     FormatError,
     automaton_from_json,
@@ -193,11 +193,22 @@ def make_parser() -> _Parser:
     return p
 
 
-def _emit(payload: dict, summary: str, started: float) -> None:
+def _stamped(payload: dict, started: float) -> str:
     payload["elapsed_ms"] = int((time.time() - started) * 1000)
     payload["version"] = __version__
-    print(json.dumps(payload, sort_keys=True))
+    return json.dumps(payload, sort_keys=True)
+
+
+def _emit(payload: dict, summary: str, started: float) -> None:
+    print(_stamped(payload, started))
     print(summary, file=sys.stderr)
+
+
+def _emit_estimate(result, started: float, **fields) -> int:
+    """Print an estimate with its certificate and the command's own fields."""
+    _emit({"estimate": result.estimate, **fields, **result.certificate},
+          f"estimate {result.estimate:.6g}", started)
+    return 0
 
 
 def _cmd_count(args, started) -> int:
@@ -214,11 +225,8 @@ def _cmd_count(args, started) -> int:
         _emit({"count": count, "mode": "exact-dp", "n": args.n, "inputs": digests},
               f"exact count {count}", started)
         return 0
-    result = fpras_ta(automaton, args.n, _config(args))
-    payload = {"estimate": result.estimate, "n": args.n, "inputs": digests}
-    payload.update(result.certificate)
-    _emit(payload, f"estimate {result.estimate:.6g}", started)
-    return 0
+    return _emit_estimate(fpras_ta(automaton, args.n, _config(args)), started,
+                          n=args.n, inputs=digests)
 
 
 def _cmd_sample(args, started) -> int:
@@ -236,20 +244,12 @@ def _cmd_sample(args, started) -> int:
             break
         else:
             failed += 1
-    status = {
-        "mode": "sample",
-        "requested": args.count,
-        "emitted": emitted,
-        "failed": failed,
-        "empty": handle.empty,
-        "n": args.n,
-        "seed": config.seed,
-        "profile": config.profile,
-        "inputs": {"automaton": file_digest(args.automaton)},
-        "elapsed_ms": int((time.time() - started) * 1000),
-        "version": __version__,
-    }
-    print(json.dumps(status, sort_keys=True), file=sys.stderr)
+    status = certificate(
+        config, "sample", handle.stats, requested=args.count, emitted=emitted,
+        failed=failed, empty=handle.empty, n=args.n,
+        inputs={"automaton": file_digest(args.automaton)},
+    )
+    print(_stamped(status, started), file=sys.stderr)
     return 0
 
 
@@ -263,13 +263,8 @@ def _cmd_nfa_count(args, started) -> int:
         _emit({"count": count, "mode": "brute", "k": args.k, "inputs": digests},
               f"exact count {count}", started)
         return 0
-    config = _config(args)
-    result = count_succinct_nfa(nfa, args.k, config)
-    payload = {"estimate": result.estimate, "inputs": digests}
-    payload.update(result.certificate)
-    payload["mode"] = "nfa-count"
-    _emit(payload, f"estimate {result.estimate:.6g}", started)
-    return 0
+    return _emit_estimate(count_succinct_nfa(nfa, args.k, _config(args)), started,
+                          inputs=digests)
 
 
 def _load_query_inputs(args):
@@ -278,29 +273,26 @@ def _load_query_inputs(args):
     hds = None
     if args.decomposition:
         hds = decompositions_from_json(_read(args.decomposition))
-    return queries, db, hds
+    digests = {"query": file_digest(args.query), "database": file_digest(args.database)}
+    return queries, db, hds, digests
 
 
 def _cmd_cq_count(args, started) -> int:
-    queries, db, hds = _load_query_inputs(args)
+    queries, db, hds, digests = _load_query_inputs(args)
     if len(queries) != 1:
         raise UsageError("cq-count expects a single rule; use ucq-count for unions")
     hd = hds[0] if hds else None
-    result = count_cq(queries[0], db, hd, _config(args), args.k)
-    payload = {"estimate": result.estimate,
-               "inputs": {"query": file_digest(args.query),
-                          "database": file_digest(args.database)}}
-    payload.update(result.certificate)
-    _emit(payload, f"estimate {result.estimate:.6g}", started)
-    return 0
+    return _emit_estimate(count_cq(queries[0], db, hd, _config(args), args.k), started,
+                          inputs=digests)
 
 
 def _cmd_cq_sample(args, started) -> int:
-    queries, db, hds = _load_query_inputs(args)
+    queries, db, hds, digests = _load_query_inputs(args)
     if len(queries) != 1:
         raise UsageError("cq-sample expects a single rule")
     hd = hds[0] if hds else None
-    sampler = sample_cq(queries[0], db, hd, _config(args), args.k)
+    config = _config(args)
+    sampler = sample_cq(queries[0], db, hd, config, args.k)
     emitted = bottoms = 0
     for _ in range(args.count):
         a = sampler.draw()
@@ -309,62 +301,50 @@ def _cmd_cq_sample(args, started) -> int:
         else:
             print(json.dumps(list(a)))
             emitted += 1
-    status = {
-        "mode": "cq-sample", "requested": args.count, "emitted": emitted,
-        "bottom": bottoms, "seed": args.seed, "profile": args.profile,
-        "elapsed_ms": int((time.time() - started) * 1000), "version": __version__,
-    }
-    print(json.dumps(status, sort_keys=True), file=sys.stderr)
+    status = certificate(
+        config, "cq-sample", sampler.handle.stats, requested=args.count,
+        emitted=emitted, bottom=bottoms, inputs=digests,
+    )
+    print(_stamped(status, started), file=sys.stderr)
     return 0
 
 
 def _cmd_ucq_count(args, started) -> int:
-    queries, db, hds = _load_query_inputs(args)
-    if hds is not None and len(hds) not in (1, len(queries)):
-        raise UsageError("decomposition list length must match the disjunct count")
-    if hds is not None and len(hds) == 1 and len(queries) > 1:
+    queries, db, hds, digests = _load_query_inputs(args)
+    if hds is not None and len(hds) != len(queries):
         raise UsageError("a union needs one decomposition per disjunct (or none)")
-    result = count_ucq(queries, db, hds, _config(args), args.k)
-    payload = {"estimate": result.estimate,
-               "inputs": {"query": file_digest(args.query),
-                          "database": file_digest(args.database)}}
-    payload.update(result.certificate)
-    _emit(payload, f"estimate {result.estimate:.6g}", started)
-    return 0
+    return _emit_estimate(count_ucq(queries, db, hds, _config(args), args.k), started,
+                          inputs=digests)
 
 
 def _cmd_ecsp_count(args, started) -> int:
     ecsp = ecsp_from_json(_read(args.ecsp))
     hd = None
     if args.decomposition:
-        hd = decompositions_from_json(_read(args.decomposition))[0]
-    result = count_ecsp(ecsp, hd, _config(args), args.k)
-    payload = {"estimate": result.estimate, "inputs": {"ecsp": file_digest(args.ecsp)}}
-    payload.update(result.certificate)
-    _emit(payload, f"estimate {result.estimate:.6g}", started)
-    return 0
+        hds = decompositions_from_json(_read(args.decomposition))
+        if len(hds) != 1:
+            raise FormatError(
+                f"an ECSP takes exactly one decomposition; {args.decomposition} "
+                f"holds {len(hds)}"
+            )
+        hd = hds[0]
+    return _emit_estimate(count_ecsp(ecsp, hd, _config(args), args.k), started,
+                          inputs={"ecsp": file_digest(args.ecsp)})
 
 
 def _cmd_dnnf_count(args, started) -> int:
     circuit = circuit_from_json(_read(args.circuit))
     vtree = vtree_from_json(_read(args.vtree))
-    result = count_dnnf(circuit, vtree, None, _config(args))
-    payload = {"estimate": result.estimate,
-               "inputs": {"circuit": file_digest(args.circuit),
-                          "vtree": file_digest(args.vtree)}}
-    payload.update(result.certificate)
-    _emit(payload, f"estimate {result.estimate:.6g}", started)
-    return 0
+    return _emit_estimate(count_dnnf(circuit, vtree, None, _config(args)), started,
+                          inputs={"circuit": file_digest(args.circuit),
+                                  "vtree": file_digest(args.vtree)})
 
 
 def _cmd_nwa_count(args, started) -> int:
     nwa = nwa_from_json(_read(args.nwa))
     _check_n(args.n)
-    result = count_nwa(nwa, args.n, _config(args))
-    payload = {"estimate": result.estimate, "inputs": {"nwa": file_digest(args.nwa)}}
-    payload.update(result.certificate)
-    _emit(payload, f"estimate {result.estimate:.6g}", started)
-    return 0
+    return _emit_estimate(count_nwa(nwa, args.n, _config(args)), started,
+                          inputs={"nwa": file_digest(args.nwa)})
 
 
 def _cmd_partition_count(args, started) -> int:
@@ -394,11 +374,8 @@ def _cmd_partition_count(args, started) -> int:
     engine = Engine(automaton, args.level, config)
     engine.build()
     value = engine.estimate_partition(partial, args.state, args.level)
-    payload = {"estimate": value, "mode": "partition-count",
-               "profile": config.profile, "epsilon": config.epsilon,
-               "delta": config.delta, "seed": config.seed, "inputs": digests}
-    _emit(payload, f"estimate {value:.6g}", started)
-    return 0
+    cert = certificate(config, "partition-count", engine.stats)
+    return _emit_estimate(CountResult(value, cert), started, inputs=digests)
 
 
 def _cmd_oracle(args, started) -> int:

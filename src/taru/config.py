@@ -15,12 +15,15 @@ only in their constants.
   profile also fills them one entry at a time, so it is executable exactly on
   instances whose estimates never demand a sample (every union of derivations
   is a single product).
+
+Every randomized run records what it did in one RunStats and reports it
+through certificate().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 
 # Sampler calls allowed per sketch slot before the fill gives up.
@@ -51,6 +54,51 @@ class Config:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if min(self.c_sketch, self.c_trials, self.c_rho) < 1:
             raise ConfigError("scaling constants must be at least 1")
+
+
+@dataclass
+class RunStats:
+    """Deterministic counters of one run, reported as a certificate's
+    `warnings`.  A slice handle's tree sampler, sketch fills, run check and
+    completion-NFA counters all bump its engine's one object.
+
+    clamped_accepts       tree draws whose acceptance probability was cut to 1
+    sample_failures       failed tree draws while filling a sketch slot
+    nfa_clamped           word draws whose acceptance probability was cut to 1
+    nfa_walk_caps         word draws stopped by the per-symbol rejection cap
+    nfa_exhausted         label sample pools that ran out
+    nfa_sampler_failures  failed word draws while filling a word sketch slot
+    partition_nfas        completion NFAs built
+    empty_partition_nfas  completion NFAs built without a transition
+    pruned_by_run_check   partial trees given weight 0 without an NFA
+    """
+
+    clamped_accepts: int = 0
+    sample_failures: int = 0
+    nfa_clamped: int = 0
+    nfa_walk_caps: int = 0
+    nfa_exhausted: int = 0
+    nfa_sampler_failures: int = 0
+    partition_nfas: int = 0
+    empty_partition_nfas: int = 0
+    pruned_by_run_check: int = 0
+
+    def __add__(self, other: "RunStats") -> "RunStats":
+        return RunStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+
+def certificate(config: Config, mode: str, stats: RunStats, **extra) -> dict:
+    """What a randomized run reports: its mode, the configuration it ran
+    under, its counters as `warnings`, then the `extra` fields."""
+    return {
+        "mode": mode,
+        "profile": config.profile,
+        "epsilon": config.epsilon,
+        "delta": config.delta,
+        "seed": config.seed,
+        "warnings": asdict(stats),
+        **extra,
+    }
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import TreeAutomaton, merge_initial_states
-from .config import Config
-from .engine import BOT, CountResult, EngineFail, FpausSampler, LanguageSampler, _certificate
+from .config import Config, RunStats, certificate
+from .engine import BOT, CountResult, EngineFail, FpausSampler, LanguageSampler
 from .oracles import BudgetExceeded
 from .rng import Stream
 from .trees import Tree
@@ -597,7 +597,8 @@ def count_ucq(
     disjunct supplies both its answer-count estimate and its uniform answer
     sampler; disjuncts are picked in proportion to their estimates and a
     drawn answer counts as a hit when the picked disjunct is the first one
-    containing it, which is looked up once per distinct answer."""
+    containing it, which is looked up once per distinct answer.  The
+    certificate's `warnings` sum the disjunct handles' counters."""
     if not queries:
         raise QueryError("a union needs at least one disjunct")
     arities = {len(q.head) for q in queries}
@@ -605,12 +606,20 @@ def count_ucq(
         raise QueryError(f"disjunct head arities differ: {sorted(arities)}")
     if hds is None:
         hds = [None] * len(queries)
+    elif len(hds) != len(queries):
+        raise QueryError(
+            f"{len(hds)} decompositions given for {len(queries)} disjuncts"
+        )
     samplers = [CqSampler(q, db, hd, config, max_width) for q, hd in zip(queries, hds)]
     estimates = [s.handle.estimate() for s in samplers]
     total = sum(estimates)
-    cert = _certificate(config, "ucq-count", {"disjuncts": len(queries)})
+
+    def union_certificate(**extra) -> dict:
+        stats = sum((s.handle.stats for s in samplers), RunStats())
+        return certificate(config, "ucq-count", stats, disjuncts=len(queries), **extra)
+
     if total <= 0.0:
-        return CountResult(0.0, cert)
+        return CountResult(0.0, union_certificate())
     m = len(queries)
     trials = math.ceil(8.0 * m * m * math.log(4.0 / config.delta) / config.epsilon**2)
     rand = Stream.from_seed(config.seed).child("karp-luby").rand()
@@ -637,7 +646,9 @@ def count_ucq(
             hits += 1
     if done < trials:
         raise EngineFail("union sampling starved; disjunct samplers keep failing")
-    cert["trials"] = trials
-    cert["draw_attempts"] = attempts
-    cert["distinct_answers"] = len(first_of)
-    return CountResult(total * hits / trials, cert)
+    return CountResult(
+        total * hits / trials,
+        union_certificate(
+            trials=trials, draw_attempts=attempts, distinct_answers=len(first_of)
+        ),
+    )

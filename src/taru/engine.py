@@ -25,15 +25,22 @@ from __future__ import annotations
 import math
 import weakref
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .automata import TreeAutomaton, decode_tree, encode_binary
-from .config import FILL_ATTEMPTS, Config, EngineParams, resolve_engine_params
+from .config import (
+    FILL_ATTEMPTS,
+    Config,
+    EngineParams,
+    RunStats,
+    certificate,
+    resolve_engine_params,
+)
 from .partition import HoleFilter, build_partition_nfa, extended_run_exists
 from .rng import Stream
-from .sampling import EMPTY, FAIL, SampleTrace, sample_tree
+from .sampling import EMPTY, FAIL, sample_tree
 from .snfa import LabelOracle, NfaCounter, OracleExhausted
 from .trees import Tree, leaf
 from .unrolling import UnrolledAutomaton
@@ -43,19 +50,6 @@ BOT = "BOT"
 
 class EngineFail(RuntimeError):
     """A sample-set slot could not be filled within its trial budget."""
-
-
-@dataclass
-class EngineDiagnostics:
-    clamped_accepts: int = 0
-    sample_failures: int = 0
-    nfa_clamped: int = 0
-    nfa_walk_caps: int = 0
-    nfa_exhausted: int = 0
-    nfa_sampler_failures: int = 0
-    partition_nfas: int = 0
-    empty_partition_nfas: int = 0
-    pruned_by_run_check: int = 0
 
 
 class _SketchLabel(LabelOracle):
@@ -161,7 +155,7 @@ class Engine:
         )
         self._labels: dict[tuple[str, int], _SketchLabel] = {}
         self._proxy = weakref.proxy(self)
-        self.diag = EngineDiagnostics()
+        self.stats = RunStats()
         self.epoch = 0
         self._built = False
 
@@ -211,7 +205,7 @@ class Engine:
                 raise EngineFail(
                     f"sample set requested for empty cell ({state}, {level})"
                 )
-            self.diag.sample_failures += 1
+            self.stats.sample_failures += 1
         raise EngineFail(
             f"could not fill sample set slot ({state}, {level}, {position}) "
             f"within {FILL_ATTEMPTS} attempts"
@@ -315,25 +309,21 @@ class Engine:
         # A level estimate is positive exactly when its cell is non-empty, so
         # a tree with no run through non-empty holes has no completion.
         if not extended_run_exists(self.unrolled, t, state, self._live_holes):
-            self.diag.pruned_by_run_check += 1
+            self.stats.pruned_by_run_check += 1
             self._ep_memo[key] = 0.0
             return 0.0
         nfa = build_partition_nfa(self.unrolled, t, state, self._label).nfa
-        self.diag.partition_nfas += 1
+        self.stats.partition_nfas += 1
         value = 0.0
         if not nfa.transitions:
-            self.diag.empty_partition_nfas += 1
+            self.stats.empty_partition_nfas += 1
         else:
-            counter = NfaCounter(
+            value = NfaCounter(
                 nfa,
                 self.params.nfa,
                 self.root_stream.child("part", self.epoch, state, level, t),
-            )
-            value = counter.run()
-            self.diag.nfa_clamped += counter.diag.clamped
-            self.diag.nfa_walk_caps += counter.diag.walk_cap_hits
-            self.diag.nfa_exhausted += counter.diag.oracle_exhausted
-            self.diag.nfa_sampler_failures += counter.diag.sampler_failures
+                self.stats,
+            ).run()
         self._ep_memo[key] = value
         return value
 
@@ -355,39 +345,22 @@ class Engine:
             if len(symbols) == 1:
                 return leaf(symbols[0])  # forced: reads no randomness
             return leaf(symbols[stream.rand().below(len(symbols))])
-        trace = SampleTrace()
-        result = sample_tree(
+        return sample_tree(
             level,
             self._leaf_alphabet,
             self._node_alphabet,
             lambda partial: self.estimate_partition(partial, state, level),
             est,
             stream,
-            trace,
+            self.stats,
             self._expansions.setdefault((state, level), {}),
         )
-        if trace.clamped:
-            self.diag.clamped_accepts += 1
-        return result
 
 
 @dataclass
 class CountResult:
     estimate: float
     certificate: dict
-
-
-def _certificate(config: Config, mode: str, extra: Optional[dict] = None) -> dict:
-    cert = {
-        "mode": mode,
-        "profile": config.profile,
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "seed": config.seed,
-    }
-    if extra:
-        cert.update(extra)
-    return cert
 
 
 class LanguageSampler:
@@ -411,8 +384,10 @@ class LanguageSampler:
         work = encode_binary(automaton) if self.encoded else automaton
         self.work_n = 2 * n - 1 if self.encoded else n
         self.engine: Optional[Engine] = None
+        self.stats = RunStats()  # an even-size slice runs nothing
         if self.work_n % 2 == 1:
             self.engine = Engine(work, self.work_n, config)
+            self.stats = self.engine.stats
             self.engine.build()
         self.empty = self.estimate() <= 0.0
         self._next = 0
@@ -430,13 +405,12 @@ class LanguageSampler:
 
     def count(self) -> CountResult:
         """The slice estimate with its certificate."""
-        if self.engine is None:
-            extra = {"exact": "even-size"}
-        else:
-            extra = {"warnings": asdict(self.engine.diag)}
+        extra = {"exact": "even-size"} if self.engine is None else {}
         if self.encoded:
             extra["encoded"] = True
-        return CountResult(self.estimate(), _certificate(self.config, "fpras", extra))
+        return CountResult(
+            self.estimate(), certificate(self.config, "fpras", self.stats, **extra)
+        )
 
     def draw(self):
         """A uniform tree, FAIL, or EMPTY."""

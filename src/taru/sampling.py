@@ -11,9 +11,9 @@ probabilities cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .config import RunStats
 from .rng import Stream, cumulative
 from .trees import Tree, hole, leaf
 
@@ -65,12 +65,6 @@ def immediate_extensions(
     ]
 
 
-@dataclass
-class SampleTrace:
-    branch_product: float = 1.0
-    clamped: bool = False
-
-
 class ChoiceNode:
     """One partial tree on the walk from a root hole: its live candidates,
     their weights, total and running sums, and a child node per candidate,
@@ -111,12 +105,13 @@ def sample_tree(
     estimator: Callable[[Tree], float],
     slice_estimate: float,
     stream: Stream,
-    trace: Optional[SampleTrace] = None,
+    stats: Optional[RunStats] = None,
     expansions: Optional[dict] = None,
 ):
     """One draw from the size-`level` trees of the language behind
     `estimator`, grown with the symbols `immediate_extensions` takes;
-    returns a complete Tree, FAIL, or EMPTY.
+    returns a complete Tree, FAIL, or EMPTY.  A clamped acceptance
+    probability bumps `stats.clamped_accepts`.
 
     Candidates of weight zero are dropped: `weighted_index` never picks them
     and they add nothing to the total, and `Rand.pick` picks what it would.
@@ -140,13 +135,11 @@ def sample_tree(
         k = rand.pick(node.cum)
         phi *= node.weights[k] / node.total
         node = node.child(k)
-    if trace is not None:
-        trace.branch_product = phi
     accept = 1.0 / (2.0 * phi * slice_estimate)
     if accept > 1.0:
         accept = 1.0
-        if trace is not None:
-            trace.clamped = True
+        if stats is not None:
+            stats.clamped_accepts += 1
     if rand.bernoulli(accept):
         return node.tree
     return FAIL

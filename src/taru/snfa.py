@@ -14,10 +14,17 @@ through several channels with a rejection ratio computed from the sketches.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .config import FILL_ATTEMPTS, Config, NfaParams, resolve_nfa_params
+from .config import (
+    FILL_ATTEMPTS,
+    Config,
+    NfaParams,
+    RunStats,
+    certificate,
+    resolve_nfa_params,
+)
 from .rng import Stream, cumulative
 from .sampling import EMPTY, FAIL
 
@@ -224,34 +231,6 @@ def prune_to_paths(nfa: SuccinctNFA) -> SuccinctNFA:
     return SuccinctNFA(states, transitions, nfa.initial, nfa.final, labels, levels)
 
 
-def word_membership(nfa: SuccinctNFA, state: str, word: tuple) -> bool:
-    """Does some transition path from the initial state spell the word and end
-    in the given state?  The word length must equal the state's level."""
-    if nfa.levels is None:
-        raise NfaError("word_membership needs a leveled NFA")
-    if nfa.levels[state] != len(word):
-        return False
-    frontier = {nfa.initial}
-    for i, a in enumerate(word):
-        nxt = set()
-        for t in nfa.transitions:
-            if t.src in frontier and nfa.levels[t.src] == i and nfa.labels[t.label].member(a):
-                nxt.add(t.dst)
-        if not nxt:
-            return False
-        frontier = nxt
-    return state in frontier
-
-
-@dataclass
-class NfaDiagnostics:
-    clamped: int = 0
-    walk_cap_hits: int = 0
-    sampler_failures: int = 0
-    oracle_exhausted: int = 0
-    rho_values: list = field(default_factory=list)
-
-
 class _Frontier:
     __slots__ = ("trans", "total", "cum", "rho")
 
@@ -266,16 +245,18 @@ class NfaCounter:
     """One counting sweep over a leveled, pruned succinct NFA.
 
     After run() the counter retains the per-state estimates and word sketches,
-    so near-uniform word samples can be drawn from any state.
+    so near-uniform word samples can be drawn from any state.  Its failures
+    are counted in `stats`, the caller's RunStats or a fresh one.
     """
 
-    def __init__(self, nfa: SuccinctNFA, params: NfaParams, stream: Stream):
+    def __init__(self, nfa: SuccinctNFA, params: NfaParams, stream: Stream,
+                 stats: Optional[RunStats] = None):
         if nfa.levels is None:
             raise NfaError("counting needs a leveled NFA")
         self.nfa = nfa
         self.params = params
         self.stream = stream
-        self.diag = NfaDiagnostics()
+        self.stats = RunStats() if stats is None else stats
         self._topo_index = {s: i for i, s in enumerate(nfa.states)}
         self._in: dict[str, list[tuple[int, NfaTransition]]] = {s: [] for s in nfa.states}
         for idx, t in enumerate(nfa.transitions):
@@ -405,7 +386,7 @@ class NfaCounter:
             try:
                 a = draw_a()
             except OracleExhausted:
-                self.diag.oracle_exhausted += 1
+                self.stats.nfa_exhausted += 1
                 raise
             if fresh(w, a):
                 good += 1
@@ -431,7 +412,7 @@ class NfaCounter:
                     break
                 if w == EMPTY:
                     raise NfaError(f"sketch requested for empty state {state}")
-                self.diag.sampler_failures += 1
+                self.stats.nfa_sampler_failures += 1
             if got is None:
                 raise OracleExhausted(
                     f"could not fill word sketch for {state} "
@@ -485,9 +466,6 @@ class NfaCounter:
         true value stays at most 1 - 1/len(trans)."""
         if info.rho is not None:
             return info.rho
-        if len(info.trans) == 1:
-            info.rho = 0.0
-            return 0.0
         rand = self.stream.child("rho", tuple(sorted(states))).rand()
         fails = 0
         m = self.params.m_rho
@@ -498,7 +476,7 @@ class NfaCounter:
             try:
                 a = draw()
             except OracleExhausted:
-                self.diag.oracle_exhausted += 1
+                self.stats.nfa_exhausted += 1
                 raise
             q = self._symbol_accept_prob(info, j, a)
             if not rand.bernoulli(q):
@@ -507,7 +485,6 @@ class NfaCounter:
         if rho >= 1.0:
             rho = 1.0 - 1.0 / (2 * m)
         info.rho = rho
-        self.diag.rho_values.append(rho)
         return rho
 
     def _symbol_accept_prob(self, info: _Frontier, j: int, a) -> float:
@@ -552,7 +529,7 @@ class NfaCounter:
                 try:
                     a = draw()
                 except OracleExhausted:
-                    self.diag.oracle_exhausted += 1
+                    self.stats.nfa_exhausted += 1
                     return FAIL
                 members = (0,)
                 q *= (self.est[t.src] / info.total) / 1.0
@@ -563,7 +540,7 @@ class NfaCounter:
                 while accepted is None:
                     attempts += 1
                     if attempts > self.params.walk_cap:
-                        self.diag.walk_cap_hits += 1
+                        self.stats.nfa_walk_caps += 1
                         return FAIL
                     j = rand.pick(info.cum)
                     t = info.trans[j]
@@ -571,7 +548,7 @@ class NfaCounter:
                     try:
                         a = draw()
                     except OracleExhausted:
-                        self.diag.oracle_exhausted += 1
+                        self.stats.nfa_exhausted += 1
                         return FAIL
                     if rand.bernoulli(self._symbol_accept_prob(info, j, a)):
                         accepted = a
@@ -604,7 +581,7 @@ class NfaCounter:
         p_accept = 1.0 / (2.0 * q * est_x)
         if p_accept > 1.0:
             p_accept = 1.0
-            self.diag.clamped += 1
+            self.stats.nfa_clamped += 1
         if rand.bernoulli(p_accept):
             return word
         return FAIL
@@ -627,27 +604,17 @@ def count_succinct_nfa(nfa: SuccinctNFA, k: int, config: Config) -> NfaCountResu
         leveled = prune_to_paths(nfa)
     else:
         leveled = unroll_nfa(nfa, k)
-    params = resolve_nfa_params(config, max(1, leveled.size()), k)
-    cert = {
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "seed": config.seed,
-        "profile": config.profile,
-        "k": k,
-    }
+    stats = RunStats()
     if not leveled.transitions:
-        return NfaCountResult(0.0, None, cert | {"empty": True})
+        return NfaCountResult(
+            0.0, None, certificate(config, "nfa-count", stats, k=k, empty=True)
+        )
+    params = resolve_nfa_params(config, max(1, leveled.size()), k)
     counter = NfaCounter(
-        leveled, params, Stream.from_seed(config.seed).child("nfa-count")
+        leveled, params, Stream.from_seed(config.seed).child("nfa-count"), stats
     )
     estimate = counter.run()
-    cert["warnings"] = {
-        "clamped": counter.diag.clamped,
-        "walk_cap_hits": counter.diag.walk_cap_hits,
-        "oracle_exhausted": counter.diag.oracle_exhausted,
-        "sampler_failures": counter.diag.sampler_failures,
-    }
-    return NfaCountResult(estimate, counter, cert)
+    return NfaCountResult(estimate, counter, certificate(config, "nfa-count", stats, k=k))
 
 
 def sample_word(result: NfaCountResult, stream: Stream):

@@ -9,12 +9,12 @@ from itertools import product
 from typing import Iterator, Optional
 
 from taru.automata import Transition, TreeAutomaton
-from taru.cq import Atom, ConjunctiveQuery, Database, ReductionResult, Var
-from taru.applications import DnnfCircuit, Gate, NestedWordAutomaton
+from taru.cq import Atom, ConjunctiveQuery, Database, QueryError, ReductionResult, Var
+from taru.applications import DnnfCircuit, Ecsp, Gate, NestedWordAutomaton
 from taru.oracles import brute_slice
 from taru.partition import AMP, PartitionNFA, main_path
 from taru.sampling import immediate_extensions, min_hole
-from taru.snfa import ExplicitLabel, NfaTransition, SuccinctNFA, prune_to_paths
+from taru.snfa import ExplicitLabel, NfaCounter, NfaTransition, SuccinctNFA, prune_to_paths
 from taru.trees import Tree, hole, leaf
 from taru.unrolling import UnrolledAutomaton
 
@@ -429,3 +429,28 @@ def reference_partition_nfa(unrolled: UnrolledAutomaton, t: Tree, state: str,
                 ))
     nfa = SuccinctNFA(states, transitions, "s0", "se", labels, levels)
     return PartitionNFA(prune_to_paths(nfa), k)
+
+
+def cq_to_ecsp(query: ConjunctiveQuery, db: Database) -> Ecsp:
+    """Reverse of `applications.ecsp_to_cq`; the query must be constant-free."""
+    constraints = []
+    for atom in query.atoms:
+        scope = []
+        for term in atom.args:
+            if not isinstance(term, Var):
+                raise QueryError("reverse translation needs a constant-free query")
+            scope.append(term.name)
+        constraints.append((tuple(scope), db.tuples(atom.rel)))
+    domain = tuple(sorted(db.active_domain()))
+    return Ecsp(
+        tuple(dict.fromkeys(query.head)),
+        query.variables(),
+        domain,
+        tuple(constraints),
+    )
+
+
+def frontier_rhos(counter: NfaCounter) -> list:
+    """The rejection-rate estimates of a counter's ambiguous frontiers (more
+    than one live transition), in the order the frontiers were first met."""
+    return [info.rho for info in counter._frontier_memo.values() if len(info.trans) > 1]

@@ -15,7 +15,6 @@ from taru.applications import (
     count_dnnf,
     count_ecsp,
     count_nwa,
-    cq_to_ecsp,
     dnnf_to_ta,
     ecsp_to_cq,
     encode_nested_word,
@@ -31,7 +30,7 @@ from taru.cq import brute_cq_count
 from taru.oracles import brute_slice
 from taru.trees import Tree, leaf
 
-from genutil import random_nwa, random_structured_circuit
+from genutil import cq_to_ecsp, random_nwa, random_structured_circuit
 
 
 # -- existential CSPs ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -126,21 +127,21 @@ def test_budget_exhaustion_exit_3(files, capsys, monkeypatch):
     assert "failed" in err
 
 
+NFA = json.dumps(
+    {
+        "states": ["x0", "x1", "x2"],
+        "initial": "x0",
+        "final": "x2",
+        "transitions": [
+            {"from": "x0", "to": "x1", "label": ["a", "b"]},
+            {"from": "x1", "to": "x2", "label": ["b", "c"]},
+        ],
+    }
+)
+
+
 def test_nfa_count_modes(files, capsys):
-    nfa = files(
-        "nfa.json",
-        json.dumps(
-            {
-                "states": ["x0", "x1", "x2"],
-                "initial": "x0",
-                "final": "x2",
-                "transitions": [
-                    {"from": "x0", "to": "x1", "label": ["a", "b"]},
-                    {"from": "x1", "to": "x2", "label": ["b", "c"]},
-                ],
-            }
-        ),
-    )
+    nfa = files("nfa.json", NFA)
     code, out, _ = _run(capsys, ["nfa-count", "--nfa", nfa, "--k", "2", "--mode", "brute"])
     assert code == 0 and _json_out(out)["count"] == 4
     code, out, _ = _run(capsys, ["nfa-count", "--nfa", nfa, "--k", "2"])
@@ -233,13 +234,13 @@ CIRCUIT = json.dumps(
 )
 
 
+VTREE = json.dumps({"left": {"left": {"var": "x"}, "right": {"var": "y"}},
+                    "right": {"var": "z"}})
+
+
 def test_dnnf_count_cli(files, capsys):
     circuit = files("c.json", CIRCUIT)
-    vtree = files(
-        "v.json",
-        json.dumps({"left": {"left": {"var": "x"}, "right": {"var": "y"}},
-                    "right": {"var": "z"}}),
-    )
+    vtree = files("v.json", VTREE)
     code, out, _ = _run(capsys, ["dnnf-count", "--circuit", circuit, "--vtree", vtree])
     assert code == 0
     assert abs(_json_out(out)["estimate"] - 4.0) <= 1.0
@@ -308,6 +309,65 @@ def test_oracle_ecsp_budget_exit_3(files, capsys, monkeypatch):
     ecsp = files("e.json", ECSP)
     monkeypatch.setenv("TARU_BUDGET", "1")
     _assert_budget_failure(*_run(capsys, ["oracle", "--ecsp", ecsp]))
+
+
+@pytest.mark.parametrize("entries", ["[]", "[null, null]"])
+def test_ecsp_decomposition_file_needs_exactly_one_entry(files, capsys, entries):
+    ecsp = files("e.json", ECSP)
+    hd = files("hd.json", entries)
+    code, out, err = _run(capsys, ["ecsp-count", "--ecsp", ecsp, "--decomposition", hd])
+    assert code == 2
+    assert err.startswith("input error: an ECSP takes exactly one decomposition")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def _randomized_runs(files):
+    aut = files("cat.json", CATALAN)
+    nfa = files("nfa.json", NFA)
+    dead = json.loads(NFA)
+    dead["transitions"] = dead["transitions"][:1]  # nothing reaches x2
+    dead_nfa = files("dead.json", json.dumps(dead))
+    q = files("q.txt", QUERY)
+    d = files("d.txt", FACTS)
+    u = files("u.txt", "Q(x) :- A(x).\nQ(x) :- B(x).\n")
+    ud = files("ud.txt", "A(1).\nA(2).\nB(3).\nB(4).\nB(5).\n")
+    return {
+        "count": ["count", "--automaton", aut, "--n", "9"],
+        "sample": ["sample", "--automaton", aut, "--n", "7", "--count", "5"],
+        "nfa-count": ["nfa-count", "--nfa", nfa, "--k", "2"],
+        "nfa-count-empty": ["nfa-count", "--nfa", dead_nfa, "--k", "2"],
+        "cq-count": ["cq-count", "--query", q, "--database", d],
+        "cq-sample": ["cq-sample", "--query", q, "--database", d, "--count", "4"],
+        "ucq-count": ["ucq-count", "--query", u, "--database", ud],
+        "ecsp-count": ["ecsp-count", "--ecsp", files("e.json", ECSP)],
+        "dnnf-count": ["dnnf-count", "--circuit", files("c.json", CIRCUIT),
+                       "--vtree", files("v.json", VTREE)],
+        "nwa-count": ["nwa-count", "--nwa", files("w.json", NWA), "--n", "3"],
+        "partition-count": ["partition-count", "--automaton", aut, "--partial-tree",
+                            "a(5,1)", "--state", "r", "--level", "7"],
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "count", "sample", "nfa-count", "nfa-count-empty", "cq-count", "cq-sample",
+    "ucq-count", "ecsp-count", "dnnf-count", "nwa-count", "partition-count",
+])
+def test_randomized_runs_certify_themselves_and_repeat(files, capsys, name):
+    """Every randomized subcommand reports the certificate header, its input
+    digests and its warnings (on stderr for the sampling commands), and two
+    runs with the same seed agree byte for byte apart from elapsed_ms."""
+    argv = _randomized_runs(files)[name] + ["--seed", "1"]
+    runs = []
+    for _ in range(2):
+        code, out, err = _run(capsys, argv)
+        assert code == 0
+        runs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out + err))
+    assert runs[0] == runs[1]
+    lines = (err if name.endswith("sample") else out).strip().splitlines()
+    cert = json.loads(lines[-1])
+    assert {"mode", "profile", "epsilon", "delta", "seed", "inputs", "warnings"} <= set(cert)
+    assert cert["seed"] == 1 and cert["inputs"]
 
 
 def test_cq_count_path3_over_thirty_vertices(files, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from taru.cq import (
     BOT,
     ConjunctiveQuery,
     Const,
+    CqSampler,
     Database,
     DecompositionInvalid,
     DecompositionNode,
@@ -28,6 +30,7 @@ from taru.cq import (
     validate_decomposition,
 )
 from taru.engine import Engine
+from taru.formats import database_from_text, queries_from_text
 from taru.oracles import brute_slice
 
 from genutil import answer_tree, random_cq_db
@@ -339,6 +342,44 @@ def test_ucq_arity_mismatch():
     qc = ConjunctiveQuery("Q", ("x", "y"), (Atom("C", (Var("x"), Var("y"))),))
     with pytest.raises(QueryError):
         count_ucq([qa, qc], Database({"A": set(), "C": set()}), None, Config())
+
+
+def _edge_union():
+    """Q(x,y) :- S(x), E(x,y) and Q(x,y) :- T(x), E(x,y): two answers, one
+    per disjunct."""
+    queries = queries_from_text("Q(x,y) :- S(x), E(x,y).\nQ(x,y) :- T(x), E(x,y).\n")
+    db = database_from_text("E(a,b).\nE(c,d).\nS(a).\nT(c).\n")
+    return queries, db
+
+
+def test_ucq_rejects_a_decomposition_list_of_the_wrong_length():
+    """zip() used to drop the second disjunct, counting 1.0 for 2 answers."""
+    queries, db = _edge_union()
+    assert count_ucq(queries, db, None, Config(seed=1)).estimate == 2.0
+    with pytest.raises(QueryError, match="1 decompositions given for 2 disjuncts"):
+        count_ucq(queries, db, [None], Config(seed=1))
+    with pytest.raises(QueryError):
+        count_ucq(queries, db, [None, None, None], Config(seed=1))
+
+
+def test_union_certificate_sums_its_disjuncts_counters(monkeypatch):
+    made = []
+    init = CqSampler.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(CqSampler, "__init__", recorded_init)
+    queries, db = _edge_union()
+    res = count_ucq(queries, db, None, Config(seed=1))
+    assert len(made) == 2
+    summed = made[0].handle.stats + made[1].handle.stats
+    assert res.certificate["warnings"] == dataclasses.asdict(summed)
+    # The draws built completion NFAs that neither disjunct's count needed.
+    assert summed.partition_nfas > 0
+    for sampler in made:
+        assert sampler.handle.stats.partition_nfas > 0
 
 
 def test_decomposition_validity_under_rerooting(q1_d1):

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from taru.oracles import brute_completions
-from taru.rng import Stream
+from taru.rng import Rand, Stream
 from taru.sampling import (
     EMPTY,
     FAIL,
-    SampleTrace,
     SamplingError,
     immediate_extensions,
     min_hole,
@@ -156,12 +155,20 @@ def test_sample_tree_expansion_memo_changes_no_draw():
                for node in expanded)
 
 
-def test_sample_tree_pass_count_bookkeeping():
+def test_sample_tree_pass_count_bookkeeping(monkeypatch):
     """One loop pass per node: a size-i draw expands exactly i nodes on its
-    path, and the branch product matches the recorded ratios."""
-    trace = SampleTrace()
+    path, and the acceptance coin reads the branch product of the recorded
+    ratios."""
+    coins = []
+    bernoulli = Rand.bernoulli
+
+    def recorded_bernoulli(rand, p):
+        coins.append(p)
+        return bernoulli(rand, p)
+
+    monkeypatch.setattr(Rand, "bernoulli", recorded_bernoulli)
     expansions = {}
-    out = sample_tree(7, {"a"}, {"a"}, lambda t: 1.0, 5.0, Stream.from_seed(3), trace,
+    out = sample_tree(7, {"a"}, {"a"}, lambda t: 1.0, 5.0, Stream.from_seed(3), None,
                       expansions)
     assert out == FAIL or isinstance(out, Tree)
     expanded, phi, node = 0, 1.0, expansions[7]
@@ -172,5 +179,5 @@ def test_sample_tree_pass_count_bookkeeping():
         node = node.children[k]
     assert expanded == 7
     assert node.tree.is_complete() and node.tree.size == 7
-    assert trace.branch_product == phi
-    assert 0.0 < trace.branch_product <= 1.0
+    assert 0.0 < phi <= 1.0
+    assert coins == [min(1.0, 1.0 / (2.0 * phi * 5.0))]

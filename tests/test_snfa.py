@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from taru.config import Config
+from taru.config import Config, resolve_nfa_params
 from taru.oracles import brute_nfa_count
 from taru.rng import Stream
 from taru.sampling import EMPTY, FAIL
@@ -15,10 +15,9 @@ from taru.snfa import (
     prune_to_paths,
     sample_word,
     unroll_nfa,
-    word_membership,
 )
 
-from genutil import random_explicit_nfa
+from genutil import frontier_rhos, random_explicit_nfa
 
 
 def chain_nfa():
@@ -66,13 +65,21 @@ def test_unroll_already_leveled_is_isomorphic():
     assert brute_nfa_count(u, 2, budget=None) == 4
 
 
+def _word_member(u):
+    """The counter's own membership check, which needs no run()."""
+    params = resolve_nfa_params(Config(), max(1, u.size()), u.word_length())
+    counter = NfaCounter(u, params, Stream.from_seed(0))
+    return lambda state, word: counter._word_member(word, state)
+
+
 def test_word_membership_chain():
     u = unroll_nfa(chain_nfa(), 2)
     final = u.final
-    assert word_membership(u, final, ("a", "b"))
-    assert word_membership(u, final, ("b", "c"))
-    assert not word_membership(u, final, ("c", "a"))
-    assert not word_membership(u, final, ("a",))
+    word_membership = _word_member(u)
+    assert word_membership(final, ("a", "b"))
+    assert word_membership(final, ("b", "c"))
+    assert not word_membership(final, ("c", "a"))
+    assert not word_membership(final, ("a",))
 
 
 def test_word_membership_empty_nfa():
@@ -80,7 +87,7 @@ def test_word_membership_empty_nfa():
     nfa = SuccinctNFA(["s", "m", "f"], [("s", "A", "m")], "s", "f", labels)
     u = prune_to_paths(unroll_nfa(nfa, 2))
     assert not u.transitions
-    assert not word_membership(u, u.final, ("a", "a"))
+    assert not _word_member(u)(u.final, ("a", "a"))
 
 
 def _estimate(nfa, k, seed=0, **kw):
@@ -234,9 +241,8 @@ def test_rho_stays_below_one_minus_inverse_size():
         res = _estimate(nfa, k, seed=trial)
         if res.counter is None:
             continue
-        diag = res.counter.diag
         r = max(2, len(res.counter.nfa.transitions))
-        for rho in diag.rho_values:
+        for rho in frontier_rhos(res.counter):
             assert rho <= 1 - 1 / r + 0.05
             seen += 1
     assert seen >= 0  # rho loops only run at genuinely ambiguous frontiers
@@ -300,7 +306,7 @@ def test_walk_draws_and_rho_values_are_pinned():
         ("c", "e"), ("b", "e"), FAIL, ("a", "e"), ("a", "e"), ("b", "e"),
         ("b", "e"), FAIL, ("a", "e"), ("d", "e"), ("d", "e"), ("d", "e"),
     ]
-    assert res.counter.diag.rho_values == [0.3225, 0.345]
+    assert frontier_rhos(res.counter) == [0.3225, 0.345]
 
     nfa = random_explicit_nfa(random.Random(65), n_states=4, n_transitions=8,
                               max_label=4, universe_size=6)
@@ -311,7 +317,7 @@ def test_walk_draws_and_rho_values_are_pinned():
         ("a", "b", "d"), ("d", "f", "b"), ("d", "e", "b"), FAIL, FAIL,
         ("d", "d", "f"), FAIL, ("e", "e", "d"), ("a", "f", "d"), FAIL,
     ]
-    assert res.counter.diag.rho_values == [0.3225, 0.0675, 0.0825, 0.4175]
+    assert frontier_rhos(res.counter) == [0.3225, 0.0675, 0.0825, 0.4175]
 
 
 def test_explicit_label_contract():
@@ -336,7 +342,7 @@ def test_one_symbol_label_draws_without_randomness(monkeypatch):
 def test_certificate_reports_sampler_failures():
     result = count_succinct_nfa(chain_nfa(), 2, Config(seed=3))
     warnings = result.certificate["warnings"]
-    assert warnings["sampler_failures"] == result.counter.diag.sampler_failures
+    assert warnings["nfa_sampler_failures"] == result.counter.stats.nfa_sampler_failures
 
 
 def test_word_membership_matches_brute_enumeration():
@@ -354,9 +360,9 @@ def test_word_membership_matches_brute_enumeration():
 
         universe = sorted({a for lab in u.labels.values() for a in lab.elements})
         accepted = set()
-        frontier_words = {(): {u.initial}}
+        word_membership = _word_member(u)
         for w in iproduct(universe, repeat=k):
-            if word_membership(u, u.final, w):
+            if word_membership(u.final, w):
                 accepted.add(w)
         from taru.oracles import brute_nfa_count
 
