@@ -19,13 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .trees import Tree, leaf
+from .trees import _RECURSIVE_SIZE, Tree, leaf
 
 EXT = "@"
-
-# derive_states recurses only into trees of at most this many nodes, so at
-# most this deep; a larger tree's subtrees are derived bottom up first.
-_RECURSIVE_SIZE = 256
 
 
 class AutomatonError(ValueError):

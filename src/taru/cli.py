@@ -277,11 +277,20 @@ def _load_query_inputs(args):
     return queries, db, hds, digests
 
 
+def _single_decomposition(hds, path, what: str):
+    """The one entry of a decomposition file, or None without a file."""
+    if hds is None:
+        return None
+    if len(hds) != 1:
+        raise FormatError(f"{what} takes exactly one decomposition; {path} holds {len(hds)}")
+    return hds[0]
+
+
 def _cmd_cq_count(args, started) -> int:
     queries, db, hds, digests = _load_query_inputs(args)
     if len(queries) != 1:
         raise UsageError("cq-count expects a single rule; use ucq-count for unions")
-    hd = hds[0] if hds else None
+    hd = _single_decomposition(hds, args.decomposition, "a CQ")
     return _emit_estimate(count_cq(queries[0], db, hd, _config(args), args.k), started,
                           inputs=digests)
 
@@ -290,7 +299,7 @@ def _cmd_cq_sample(args, started) -> int:
     queries, db, hds, digests = _load_query_inputs(args)
     if len(queries) != 1:
         raise UsageError("cq-sample expects a single rule")
-    hd = hds[0] if hds else None
+    hd = _single_decomposition(hds, args.decomposition, "a CQ")
     config = _config(args)
     sampler = sample_cq(queries[0], db, hd, config, args.k)
     emitted = bottoms = 0
@@ -319,15 +328,8 @@ def _cmd_ucq_count(args, started) -> int:
 
 def _cmd_ecsp_count(args, started) -> int:
     ecsp = ecsp_from_json(_read(args.ecsp))
-    hd = None
-    if args.decomposition:
-        hds = decompositions_from_json(_read(args.decomposition))
-        if len(hds) != 1:
-            raise FormatError(
-                f"an ECSP takes exactly one decomposition; {args.decomposition} "
-                f"holds {len(hds)}"
-            )
-        hd = hds[0]
+    hds = decompositions_from_json(_read(args.decomposition)) if args.decomposition else None
+    hd = _single_decomposition(hds, args.decomposition, "an ECSP")
     return _emit_estimate(count_ecsp(ecsp, hd, _config(args), args.k), started,
                           inputs={"ecsp": file_digest(args.ecsp)})
 

@@ -68,9 +68,12 @@ class RunStats:
     nfa_walk_caps         word draws stopped by the per-symbol rejection cap
     nfa_exhausted         label sample pools that ran out
     nfa_sampler_failures  failed word draws while filling a word sketch slot
-    partition_nfas        completion NFAs built
-    empty_partition_nfas  completion NFAs built without a transition
-    pruned_by_run_check   partial trees given weight 0 without an NFA
+    partition_nfas        completion layouts made
+    empty_partition_nfas  completion layouts without a transition
+    partition_unions      completion layouts whose count needed the NFA
+                          counter: some state has two live incoming
+                          transitions
+    pruned_by_run_check   partial trees given weight 0 without a layout
     """
 
     clamped_accepts: int = 0
@@ -81,6 +84,7 @@ class RunStats:
     nfa_sampler_failures: int = 0
     partition_nfas: int = 0
     empty_partition_nfas: int = 0
+    partition_unions: int = 0
     pruned_by_run_check: int = 0
 
     def __add__(self, other: "RunStats") -> "RunStats":

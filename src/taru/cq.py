@@ -557,6 +557,7 @@ class CqSampler:
 
     def count(self) -> CountResult:
         result = self.handle.count()
+        result.certificate["mode"] = "cq-count"
         result.certificate["query"] = self.query.name
         result.certificate["decomposition_nodes"] = self.reduction.n
         return result

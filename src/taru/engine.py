@@ -17,7 +17,9 @@ growing partial trees top down; the branch estimates come from the completion
 counter and are memoized per (state, level, partial tree), which makes each
 accepted draw exactly uniform conditioned on the table (acceptance cancels the
 branch probabilities).  A partial tree with no run through non-empty cells
-is given weight zero without building its NFA.
+is given weight zero without laying out its NFA, and one whose NFA layout
+has no union of live transitions is counted by the product along its one
+live path, as the counter would, without building the NFA.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ from .config import (
     certificate,
     resolve_engine_params,
 )
-from .partition import HoleFilter, build_partition_nfa, extended_run_exists
+from .partition import (
+    HoleFilter,
+    PartitionLayout,
+    build_partition_nfa,
+    extended_run_exists,
+    partition_layout,
+)
 from .rng import Stream
 from .sampling import EMPTY, FAIL, sample_tree
 from .snfa import LabelOracle, NfaCounter, OracleExhausted
@@ -64,6 +72,10 @@ class _SketchLabel(LabelOracle):
         self.engine = engine
         self.state = state
         self.level = level
+        # Crude but sufficient: trees of size i over |alphabet| symbols.
+        self._bits = 2.0 * level + level * math.log2(
+            max(2, len(engine.unrolled.base.alphabet))
+        )
 
     def member(self, element) -> bool:
         return isinstance(element, Tree) and self.engine.unrolled.member(
@@ -74,9 +86,7 @@ class _SketchLabel(LabelOracle):
         return self.engine.estimate(self.state, self.level)
 
     def size_bound_bits(self) -> float:
-        # Crude but sufficient: trees of size i over |alphabet| symbols.
-        i = self.level
-        return 2.0 * i + i * math.log2(max(2, len(self.engine.unrolled.base.alphabet)))
+        return self._bits
 
     def pool(self) -> Optional[list]:
         if self.engine.params.refresh_epochs:
@@ -312,20 +322,49 @@ class Engine:
             self.stats.pruned_by_run_check += 1
             self._ep_memo[key] = 0.0
             return 0.0
-        nfa = build_partition_nfa(self.unrolled, t, state, self._label).nfa
+        layout = partition_layout(self.unrolled, t, state)
         self.stats.partition_nfas += 1
         value = 0.0
-        if not nfa.transitions:
+        if not any(layout.layers):
             self.stats.empty_partition_nfas += 1
         else:
-            value = NfaCounter(
-                nfa,
-                self.params.nfa,
-                self.root_stream.child("part", self.epoch, state, level, t),
-                self.stats,
-            ).run()
+            value = self._sweep(layout)
+            if value is None:
+                self.stats.partition_unions += 1
+                value = NfaCounter(
+                    build_partition_nfa(self.unrolled, t, state, self._label, layout).nfa,
+                    self.params.nfa,
+                    self.root_stream.child("part", self.epoch, state, level, t),
+                    self.stats,
+                ).run()
+            else:
+                layout.check_size(
+                    layout.nfa_size(lambda s, h: self._label(s, h).size_bound_bits())
+                )
         self._ep_memo[key] = value
         return value
+
+    def _sweep(self, layout: PartitionLayout) -> Optional[float]:
+        """NfaCounter's count of the layout's NFA when no state has two
+        live incoming transitions (source estimate and label size both
+        positive), None otherwise.  Without such a union the counter
+        multiplies each state's one live source estimate by its label size,
+        level by level from s0's 1.0 times the '&' label's 1.0, and draws
+        nothing; this sweep does the same multiplications in the same
+        order."""
+        est = {q: 1.0 * 1.0 for _, _, _, q in layout.layers[0]}
+        for layer in layout.layers[1:]:
+            reached: dict = {}
+            for src, hole_state, hole_size, dst in layer:
+                src_est = est.get(src, 0.0)
+                if src_est > 0.0:
+                    size = self.estimate(hole_state, hole_size)
+                    if size > 0.0:
+                        if dst in reached:
+                            return None
+                        reached[dst] = src_est * size
+            est = reached
+        return est.get(None, 0.0)
 
     def _label(self, state: str, level: int) -> _SketchLabel:
         label = self._labels.get((state, level))

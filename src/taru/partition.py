@@ -12,13 +12,16 @@ length (number of holes) + 1.
 The NFA is laid out forward, level by level: level l holds states q@l for
 the base states a run can carry at the l-th main-path vertex, and
 transitions leave only the states reached from s0.  One reversed pass then
-drops the transitions that cannot reach se.  States keep their level-major,
+drops the transitions that cannot reach se.  The layout is kept as plain
+base-state tuples, and only a caller that needs the NFA itself turns it
+into named states, transitions and labels.  States keep their level-major,
 sorted order and transitions their emission order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import contains
 from typing import Callable, Optional
 
 from .automata import UndeclaredSymbolError
@@ -38,7 +41,6 @@ class MainPath:
     holes: tuple[tuple[int, ...], ...]
     hole_sizes: tuple[int, ...]
     vertices: tuple[tuple[int, ...], ...]
-    vertex_sizes: tuple[int, ...]
     terminal_is_hole: bool
 
     @property
@@ -54,13 +56,15 @@ def main_path(t: Tree) -> MainPath:
     """Order the holes so each one's parent is an ancestor of the next, and
     collect the chain of their parents.  When the last two holes share a
     parent the chain ends at the deeper hole itself; a lone hole at the root
-    is its own chain."""
+    is its own chain.  Each vertex is a proper descendant of the one before,
+    so their subtrees strictly shrink."""
     holes = t.holes()
     if not holes:
         raise MainPathError("complete tree has no main path")
-    addrs = [addr for addr, _ in holes]
-    # Parent depth first, then left child before right child.
-    addrs.sort(key=lambda a: (len(a), a))
+    if len(holes) > 1:
+        # Parent depth first, then left child before right child.
+        holes.sort(key=lambda h: (len(h[0]), h[0]))
+    addrs = tuple(addr for addr, _ in holes)
     parents = [a[:-1] if a else None for a in addrs]
     k = len(addrs)
     for i in range(k - 1):
@@ -89,12 +93,8 @@ def main_path(t: Tree) -> MainPath:
             terminal_is_hole = True
         else:
             vertices.append(parents[i])
-    hole_sizes = tuple(t.node(a).label for a in addrs)
-    vertex_sizes = tuple(t.node(v).full_size for v in vertices)
-    for i in range(k - 1):
-        if vertex_sizes[i] <= vertex_sizes[i + 1]:
-            raise MainPathError("main path subtree sizes must strictly decrease")
-    return MainPath(tuple(addrs), hole_sizes, tuple(vertices), vertex_sizes, terminal_is_hole)
+    hole_sizes = tuple(size for _, size in holes)
+    return MainPath(addrs, hole_sizes, tuple(vertices), terminal_is_hole)
 
 
 class HoleFilter:
@@ -151,7 +151,7 @@ def up_states(
         result = memo[t] = frozenset(
             tr.src
             for tr in base.by_symbol.get((t.label, len(kids)), ())
-            if all(tr.children[i] in kids[i] for i in range(len(kids)))
+            if all(map(contains, kids, tr.children))
         )
         return result
 
@@ -172,25 +172,28 @@ def extended_run_exists(
 
 def _walk_down(
     unrolled: UnrolledAutomaton,
-    t: Tree,
-    start: tuple[int, ...],
-    target: tuple[int, ...],
+    node: Tree,
+    steps: tuple[int, ...],
     states: frozenset[str],
 ) -> frozenset[str]:
-    """States a run can carry at `target` when it carries one of `states` at
-    `start`, an ancestor-or-self of `target`.  Branches off the path between
-    them must be fully derivable."""
+    """States a run can carry at the descendant of `node` that the child
+    steps (1 or 2) lead to, when it carries one of `states` at `node`.  The
+    sibling off the way down at each step must be fully derivable.  The
+    automaton is binary, so a node of another arity carries no state."""
     base = unrolled.base
-    node = t.node(start)
-    for step in target[len(start):]:
+    by_symbol = base.by_symbol
+    for step in steps:
         kids = node.children
-        others = [(i, up_states(unrolled, c)) for i, c in enumerate(kids) if i != step - 1]
+        if len(kids) != 2:
+            return frozenset()
+        i, j = step - 1, 2 - step
+        up = up_states(unrolled, kids[j])
         states = frozenset(
-            tr.children[step - 1]
-            for tr in base.by_symbol.get((node.label, len(kids)), ())
-            if tr.src in states and all(tr.children[i] in up for i, up in others)
+            tr.children[i]
+            for tr in by_symbol.get((node.label, 2), ())
+            if tr.src in states and tr.children[j] in up
         )
-        node = kids[step - 1]
+        node = kids[i]
     return states
 
 
@@ -204,116 +207,157 @@ class PartitionNFA:
         return self.hole_count + 1
 
 
-def build_partition_nfa(
-    unrolled: UnrolledAutomaton,
-    t: Tree,
-    state: str,
-    label_factory: Callable[[str, int], LabelOracle],
-) -> PartitionNFA:
-    """The NFA whose accepted words '&' t_1 ... t_k are exactly the ways to
-    complete the partial tree from (state, full size).
+@dataclass
+class PartitionLayout:
+    """The pruned transitions of a completion NFA, before any state name or
+    label is made.  layers[l] holds the transitions out of level l, in
+    emission order, as base-state tuples (src, hole_state, hole_size, dst):
+    src None stands for s0 and dst None for se, and the level-0 transitions
+    read '&' (hole_state None, hole_size 0).  states counts the NFA's
+    states, s0 and se included, and bound is the size the NFA may not
+    exceed."""
 
-    label_factory(hole_state, hole_size) supplies the tree-language oracle
-    used on the transition that fills a hole; it is asked only for labels
-    the returned NFA uses.  A complete input yields the one-transition NFA
-    accepting '&' when the tree is accepted, and an empty one otherwise.
-    """
+    layers: list[list[tuple]]
+    hole_count: int
+    states: int
+    bound: int
+
+    def nfa_size(self, label_bits: Callable[[str, int], float]) -> int:
+        """SuccinctNFA.size() of the materialised NFA, whose label for a
+        hole of (state, size) reports label_bits(state, size) bits."""
+        layers = self.layers
+        transitions = sum(map(len, layers))
+        if not transitions:
+            return self.states
+        holes = {(s, h) for layer in layers[1:] for _, s, h, _ in layer}
+        bits = int(_AMP_LABEL.size_bound_bits()) + sum(int(label_bits(s, h)) for s, h in holes)
+        return self.states + transitions + bits
+
+    def check_size(self, size: int) -> None:
+        if size > self.bound:
+            raise AssertionError(f"partition NFA size {size} exceeds the bound {self.bound}")
+
+
+_AMP_LABEL = ExplicitLabel("&", (AMP,))
+
+
+def partition_layout(unrolled: UnrolledAutomaton, t: Tree, state: str) -> PartitionLayout:
+    """The transitions of the NFA whose accepted words '&' t_1 ... t_k are
+    exactly the ways to complete the partial tree from (state, full size).
+    A complete input yields the one '&' transition from s0 to se when the
+    tree is accepted, and none otherwise."""
     base = unrolled.base
     size = t.full_size
     if size > unrolled.n:
         raise ValueError("partial tree is larger than the unrolled level count")
-    amp = ExplicitLabel("&", (AMP,))
+    bound = 3 * (size * base.size) ** 4
     if t.is_complete():
-        levels = {"s0": 0, "se": 1}
-        if t.size == size and state in base.derive_states(t):
-            nfa = SuccinctNFA(
-                ["s0", "se"], [NfaTransition("s0", "&", "se")], "s0", "se", {"&": amp}, levels
-            )
-        else:
-            nfa = SuccinctNFA(["s0", "se"], [], "s0", "se", {}, levels)
-        return PartitionNFA(nfa, 0)
+        accepted = t.size == size and state in base.derive_states(t)
+        return PartitionLayout([[(None, None, 0, None)] if accepted else []], 0, 2, bound)
     path = main_path(t)
     k = path.k
-    wanted: dict[str, tuple[str, int]] = {}
+    vertices = path.vertices
 
-    def label_key(hole_state: str, hole_size: int) -> str:
-        key = f"T:{hole_state}:{hole_size}"
-        wanted[key] = (hole_state, hole_size)
-        return key
-
-    # layers[lvl] holds (source base state, transition) for the transitions
-    # out of level lvl, emitted only from states reached from s0.
-    front = _walk_down(unrolled, t, (), path.vertices[0], frozenset((state,)))
-    layers = [[(None, NfaTransition("s0", "&", f"{q}@1")) for q in sorted(front)]]
+    # layers[lvl] holds the transitions out of level lvl, emitted only from
+    # states reached from s0.
+    front = _walk_down(unrolled, t, vertices[0], frozenset((state,)))
+    layers = [[(None, None, 0, q) for q in sorted(front)]]
 
     for ell in range(k - 1):
-        v = path.vertices[ell]
+        v = vertices[ell]
+        node = t.node(v)
         hole_step = path.holes[ell][len(v)]
         path_step = 3 - hole_step  # binary: the other child
-        child_addr = v + (path_step,)
+        child = node.children[path_step - 1]
+        steps = vertices[ell + 1][len(v) + 1:]
         hole_size = path.hole_sizes[ell]
         below: dict[str, list[str]] = {}
         layer = []
         reached: set[str] = set()
-        for tr in base.by_symbol.get((t.node(v).label, 2), ()):
+        for tr in base.by_symbol.get((node.label, 2), ()):
             if tr.src not in front:
                 continue
             onpath = tr.children[path_step - 1]
             dsts = below.get(onpath)
             if dsts is None:
                 dsts = below[onpath] = sorted(
-                    _walk_down(unrolled, t, child_addr, path.vertices[ell + 1],
-                               frozenset((onpath,)))
+                    _walk_down(unrolled, child, steps, frozenset((onpath,)))
                 )
                 reached.update(dsts)
-            if not dsts:
-                continue
-            src = f"{tr.src}@{ell + 1}"
-            key = label_key(tr.children[hole_step - 1], hole_size)
+            hole_state = tr.children[hole_step - 1]
             for q2 in dsts:
-                layer.append((tr.src, NfaTransition(src, key, f"{q2}@{ell + 2}")))
+                layer.append((tr.src, hole_state, hole_size, q2))
         layers.append(layer)
         front = reached
 
     last_size = path.hole_sizes[k - 1]
     if path.terminal_is_hole:
-        layer = [
-            (q, NfaTransition(f"{q}@{k}", label_key(q, last_size), "se")) for q in sorted(front)
-        ]
+        layer = [(q, q, last_size, None) for q in sorted(front)]
     else:
-        v = path.vertices[k - 1]
+        v = vertices[k - 1]
         node = t.node(v)
         hole_step = path.holes[k - 1][len(v)]
         other_step = 3 - hole_step
         other_up = up_states(unrolled, node.children[other_step - 1])
         layer = [
-            (tr.src, NfaTransition(
-                f"{tr.src}@{k}", label_key(tr.children[hole_step - 1], last_size), "se"))
+            (tr.src, tr.children[hole_step - 1], last_size, None)
             for tr in base.by_symbol.get((node.label, 2), ())
             if tr.src in front and tr.children[other_step - 1] in other_up
         ]
     layers.append(layer)
 
-    # One reversed pass keeps the transitions that can still reach se.
-    alive = {"se"}
+    # One reversed pass keeps the transitions that can still reach se: those
+    # into a state that some kept transition of the next level leaves.
+    alive = {None}
+    states = 1  # se; s0 is the one source of level 0
     for lvl in range(k, -1, -1):
-        layers[lvl] = [(q, tr) for q, tr in layers[lvl] if tr.dst in alive]
-        alive.update(tr.src for _, tr in layers[lvl])
+        layers[lvl] = [tr for tr in layers[lvl] if tr[3] in alive]
+        alive = {tr[0] for tr in layers[lvl]}
+        states += len(alive) if lvl else 1
+    return PartitionLayout(layers, k, states, bound)
+
+
+def build_partition_nfa(
+    unrolled: UnrolledAutomaton,
+    t: Tree,
+    state: str,
+    label_factory: Callable[[str, int], LabelOracle],
+    layout: Optional[PartitionLayout] = None,
+) -> PartitionNFA:
+    """The NFA whose accepted words '&' t_1 ... t_k are exactly the ways to
+    complete the partial tree from (state, full size): partition_layout's
+    transitions, or the given layout made by it for these arguments, with
+    state q at level l named q@l.
+
+    label_factory(hole_state, hole_size) supplies the tree-language oracle
+    used on the transition that fills a hole; it is asked only for labels
+    the returned NFA uses.  States are listed level by level, each level's
+    sorted, and transitions in the layout's order.
+    """
+    if layout is None:
+        layout = partition_layout(unrolled, t, state)
+    k = layout.hole_count
+    layers = layout.layers
     states = ["s0"]
     levels = {"s0": 0, "se": k + 1}
     for lvl in range(1, k + 1):
-        for q in sorted({q for q, _ in layers[lvl]}):
+        for q in sorted({tr[0] for tr in layers[lvl]}):
             name = f"{q}@{lvl}"
             states.append(name)
             levels[name] = lvl
     states.append("se")
-    transitions = [tr for layer in layers for _, tr in layer]
-    labels: dict[str, LabelOracle] = {"&": amp} if transitions else {}
-    for tr in transitions:
-        if tr.label not in labels:
-            labels[tr.label] = label_factory(*wanted[tr.label])
+    transitions = []
+    labels: dict[str, LabelOracle] = {"&": _AMP_LABEL} if any(layers) else {}
+    for lvl, layer in enumerate(layers):
+        for src, hole_state, hole_size, dst in layer:
+            if lvl == 0:
+                src_name, key = "s0", "&"
+            else:
+                src_name, key = f"{src}@{lvl}", f"T:{hole_state}:{hole_size}"
+                if key not in labels:
+                    labels[key] = label_factory(hole_state, hole_size)
+            dst_name = "se" if dst is None else f"{dst}@{lvl + 1}"
+            transitions.append(NfaTransition(src_name, key, dst_name))
     nfa = SuccinctNFA(states, transitions, "s0", "se", labels, levels)
-    bound = 3 * (size * base.size) ** 4
-    if nfa.size() > bound:
-        raise AssertionError(f"partition NFA size {nfa.size()} exceeds the bound {bound}")
+    layout.check_size(nfa.size())
     return PartitionNFA(nfa, k)

@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
+# Tree.__eq__ and TreeAutomaton.derive_states recurse only into trees of at
+# most this many nodes, so at most this deep; larger ones take an explicit
+# stack.
+_RECURSIVE_SIZE = 256
+
 
 class Tree:
     __slots__ = ("label", "children", "size", "full_size", "_complete", "_hash", "_text")
@@ -42,6 +47,8 @@ class Tree:
             return True
         if not isinstance(other, Tree):
             return NotImplemented
+        if self.size > _RECURSIVE_SIZE:
+            return _equal_deep(self, other)
         return (
             self._hash == other._hash
             and self.label == other.label
@@ -82,16 +89,16 @@ class Tree:
         """(address, size) of every hole in preorder; complete subtrees are
         not entered."""
         out = []
-        stack = [((), self)]
+        stack = [((), self)] if not self._complete else []
         while stack:
             addr, t = stack.pop()
-            if t._complete:
-                continue
-            if t.is_hole():
+            if isinstance(t.label, int):
                 out.append((addr, t.label))
                 continue
-            for i in range(len(t.children), 0, -1):
-                stack.append((addr + (i,), t.children[i - 1]))
+            kids = t.children
+            for i in range(len(kids), 0, -1):
+                if not kids[i - 1]._complete:
+                    stack.append((addr + (i,), kids[i - 1]))
         return out
 
     def replace(self, address: tuple[int, ...], subtree: "Tree") -> "Tree":
@@ -111,6 +118,20 @@ class Tree:
         if self.is_hole():
             return {"hole": self.label}
         return {"label": self.label, "children": [c.to_json() for c in self.children]}
+
+
+def _equal_deep(a: Tree, b: Tree) -> bool:
+    """a == b node by node with an explicit stack, so any depth works."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if (x._hash != y._hash or x.label != y.label
+                or len(x.children) != len(y.children)):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
 
 
 def leaf(label) -> Tree:

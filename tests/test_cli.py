@@ -322,6 +322,35 @@ def test_ecsp_decomposition_file_needs_exactly_one_entry(files, capsys, entries)
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["cq-count", "cq-sample"])
+@pytest.mark.parametrize("entries", ["[]", "[null, null]"])
+def test_cq_decomposition_file_needs_exactly_one_entry(files, capsys, command, entries):
+    """Neither the first of several entries nor a derived join tree stands in
+    for a file that does not hold exactly one decomposition."""
+    q = files("q.txt", QUERY)
+    d = files("d.txt", FACTS)
+    hd = files("hd.json", entries)
+    argv = [command, "--query", q, "--database", d, "--decomposition", hd]
+    if command == "cq-sample":
+        argv += ["--count", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert err.startswith("input error: a CQ takes exactly one decomposition")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_cq_count_certificate_names_its_mode(files, capsys):
+    q = files("q.txt", QUERY)
+    d = files("d.txt", FACTS)
+    for argv in (["cq-count", "--query", q, "--database", d],
+                 ["cq-count", "--query", q, "--database", d,
+                  "--decomposition", files("hd.json", "[null]")]):
+        code, out, _ = _run(capsys, argv + ["--seed", "2"])
+        assert code == 0
+        assert _json_out(out)["mode"] == "cq-count"
+
+
 def _randomized_runs(files):
     aut = files("cat.json", CATALAN)
     nfa = files("nfa.json", NFA)

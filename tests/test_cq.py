@@ -376,10 +376,20 @@ def test_union_certificate_sums_its_disjuncts_counters(monkeypatch):
     assert len(made) == 2
     summed = made[0].handle.stats + made[1].handle.stats
     assert res.certificate["warnings"] == dataclasses.asdict(summed)
-    # The draws built completion NFAs that neither disjunct's count needed.
+    # The draws made completion layouts that neither disjunct's count needed.
     assert summed.partition_nfas > 0
     for sampler in made:
         assert sampler.handle.stats.partition_nfas > 0
+
+    # Over a denser graph, two of the draws' layouts need the NFA counter.
+    made.clear()
+    edges = ["0,2", "0,5", "1,3", "1,4", "2,0", "2,5", "3,0", "3,5", "4,2", "4,3", "5,1", "5,4"]
+    db = database_from_text("".join(f"E({e}).\n" for e in edges)
+                            + "S(0).\nS(1).\nS(2).\nT(2).\nT(3).\nT(4).\n")
+    res = count_ucq(queries, db, None, Config(seed=1))
+    summed = made[0].handle.stats + made[1].handle.stats
+    assert res.certificate["warnings"] == dataclasses.asdict(summed)
+    assert summed.partition_unions == 2
 
 
 def test_decomposition_validity_under_rerooting(q1_d1):

@@ -308,17 +308,21 @@ def test_nfa_sampler_failures_reach_the_certificate(fig3):
 
 
 def test_structure_counters_reach_the_certificate_and_are_pinned(fig3):
-    """Partition NFAs built, how many were empty, and partial trees pruned by
-    the run check, at seed 1: after a count and after fifty draws."""
+    """Completion layouts made, how many were empty, and partial trees pruned
+    by the run check, at seed 1: after a count and after fifty draws.  Beside
+    them, the layouts whose count needed the NFA counter: none for the
+    count, twenty for the draws."""
     warnings = fpras_bta(fig3, 13, Config(seed=1)).certificate["warnings"]
     assert (warnings["partition_nfas"], warnings["empty_partition_nfas"],
             warnings["pruned_by_run_check"]) == (56, 0, 18)
+    assert warnings["partition_unions"] == 0
     sampler = fpaus(fig3, 11, Config(seed=1))
     for _ in range(50):
         sampler.draw()
     warnings = sampler.handle.count().certificate["warnings"]
     assert (warnings["partition_nfas"], warnings["empty_partition_nfas"],
             warnings["pruned_by_run_check"]) == (179, 0, 45)
+    assert warnings["partition_unions"] == 20
 
 
 def test_fpras_ta_on_binary_arity_input_counts_at_size_n(mixed):

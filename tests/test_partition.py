@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
+import taru.engine as taru_engine
+
 from taru.automata import TreeAutomaton, encode_binary
-from taru.config import Config
+from taru.config import Config, RunStats
 from taru.cq import gyo_join_tree, reduce_cq_to_ta
 from taru.engine import Engine
 from taru.oracles import brute_completions, brute_nfa_count, _enumerate_from
@@ -13,10 +16,11 @@ from taru.partition import (
     build_partition_nfa,
     extended_run_exists,
     main_path,
+    partition_layout,
     up_states,
 )
 from taru.sampling import immediate_extensions, min_hole
-from taru.snfa import LabelOracle, OracleExhausted
+from taru.snfa import LabelOracle, NfaCounter, OracleExhausted
 from taru.trees import Tree, hole, leaf, parse_tree
 from taru.unrolling import UnrolledAutomaton
 
@@ -102,7 +106,7 @@ def test_main_path_nested_chain():
     assert mp.holes == ((1,), (2, 2))
     assert mp.vertices == ((), (2,))
     assert not mp.terminal_is_hole
-    assert mp.vertex_sizes[0] > mp.vertex_sizes[1]
+    assert t.node(mp.vertices[0]).full_size > t.node(mp.vertices[1]).full_size
 
 
 def test_main_path_shared_parent():
@@ -260,20 +264,28 @@ def _assert_same_nfa(got, want):
     assert got.nfa.levels == want.nfa.levels
 
 
-def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan, mixed,
-                                                                   q1_d1):
-    """Along random smallest-hole-first walks, every candidate of the full
-    alphabet gets the same partition NFA from the forward builder as from the
-    layout-then-prune reference, and the engine's live-symbol candidates of
-    positive weight are exactly the full alphabet's, in the same order."""
+def _candidate_walks(fig3, catalan, mixed, q1_d1, rescale=False):
+    """Random smallest-hole-first walks over fig3, catalan, mixed, the
+    encoded q1_d1 CQ automaton and six random automata, ten per automaton
+    from random (state, level) cells.  Each step yields the engine, the
+    cell, the full alphabet's candidates, the live-symbol candidates and the
+    engine's weight of every full candidate.  With `rescale`, each estimate
+    of level l is multiplied by (l + 3) / (l + 2) after the build; only
+    which estimates are positive steers a walk, so both walk the same
+    trees."""
     rng = random.Random(41)
     red = reduce_cq_to_ta(*q1_d1, gyo_join_tree(q1_d1[0]))
     cases = [(fig3, 9), (catalan, 9), (mixed, 9), (encode_binary(red.automaton), 2 * red.n - 1)]
     cases += [(random_binary_automaton(rng, n_symbols=3), 7) for _ in range(6)]
-    built = live = narrowed = 0
     for automaton, n in cases:
         engine = Engine(automaton, n, Config(seed=1))
         engine.build()
+        if rescale:
+            # The build's draws memoized completion counts of the old table.
+            for (s, level) in engine.est_table:
+                engine.est_table[s, level] *= (level + 3) / (level + 2)
+            engine._ep_memo.clear()
+            engine._expansions.clear()
         alphabet = sorted(automaton.alphabet)
         states = sorted(automaton.states)
         for _ in range(10):
@@ -288,19 +300,35 @@ def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan
                 filtered = immediate_extensions(
                     t, addr, engine._leaf_alphabet, engine._node_alphabet
                 )
-                narrowed += len(filtered) < len(full)
                 weights = {c: engine.estimate_partition(c, state, level) for c in full}
-                assert ([c for c in filtered if weights[c] > 0.0]
-                        == [c for c in full if weights[c] > 0.0])
-                for c in full:
-                    _assert_same_nfa(
-                        build_partition_nfa(engine.unrolled, c, state, KeyLabel),
-                        reference_partition_nfa(engine.unrolled, c, state, KeyLabel),
-                    )
-                    built += 1
+                yield engine, state, level, full, filtered, weights
                 positive = [c for c in full if weights[c] > 0.0]
-                live += bool(positive)
                 t = rng.choice(positive if positive and rng.random() < 0.8 else full)
+
+
+def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan, mixed,
+                                                                   q1_d1):
+    """Along random smallest-hole-first walks, every candidate of the full
+    alphabet gets the same partition NFA from the forward builder as from the
+    layout-then-prune reference, its layout reports that NFA's size, and the
+    engine's live-symbol candidates of positive weight are exactly the full
+    alphabet's, in the same order."""
+    built = live = narrowed = 0
+    for engine, state, level, full, filtered, weights in _candidate_walks(
+            fig3, catalan, mixed, q1_d1):
+        narrowed += len(filtered) < len(full)
+        assert ([c for c in filtered if weights[c] > 0.0]
+                == [c for c in full if weights[c] > 0.0])
+        for c in full:
+            got = build_partition_nfa(engine.unrolled, c, state, KeyLabel)
+            _assert_same_nfa(
+                got, reference_partition_nfa(engine.unrolled, c, state, KeyLabel)
+            )
+            layout = partition_layout(engine.unrolled, c, state)
+            assert layout.nfa_size(lambda s, h: KeyLabel(s, h).size_bound_bits()) \
+                == got.nfa.size()
+            built += 1
+        live += any(weights[c] > 0.0 for c in full)
     assert built > 1000 and live > 100 and narrowed > 100
 
     # A chain segment through a completed node, where one state reaches
@@ -318,3 +346,48 @@ def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan
         _assert_same_nfa(got, want)
         fanned = {(tr.src, tr.label) for tr in want.nfa.transitions}
         assert len(fanned) < len(want.nfa.transitions)
+
+
+# Built estimates are sums of products of sketch fractions with few bits, so
+# their products are exact in any order; rescaled ones are not.
+@pytest.mark.parametrize("rescale", [False, True])
+def test_layout_sweep_is_the_nfa_counter(fig3, catalan, mixed, q1_d1, monkeypatch, rescale):
+    """Along the same walks, the engine counts a completion layout in which
+    no state has two live incoming transitions (positive source estimate
+    and label size) to exactly the float NfaCounter returns for its NFA, and
+    that counter never hashes its stream, so it draws nothing.  Every layout
+    with such a live union goes through build_partition_nfa."""
+    through_nfa = set()
+
+    def recording(unrolled, t, state, label_factory, layout=None):
+        through_nfa.add((unrolled, state, t))
+        return build_partition_nfa(unrolled, t, state, label_factory, layout)
+
+    monkeypatch.setattr(taru_engine, "build_partition_nfa", recording)
+    swept = unions = 0
+    walks = _candidate_walks(fig3, catalan, mixed, q1_d1, rescale)
+    for engine, state, level, full, _, weights in walks:
+        for c in full:
+            if c.is_complete() or not extended_run_exists(
+                    engine.unrolled, c, state, engine._live_holes):
+                continue
+            nfa = build_partition_nfa(engine.unrolled, c, state, engine._label).nfa
+            if not nfa.transitions:
+                assert weights[c] == 0.0
+                continue
+            stream = engine.root_stream.child("part", engine.epoch, state, level, c)
+            counter = NfaCounter(nfa, engine.params.nfa, stream, RunStats())
+            value = counter.run()
+            live_in = Counter(
+                tr.dst for tr in nfa.transitions
+                if counter.est[tr.src] > 0.0 and nfa.labels[tr.label].size_est() > 0.0
+            )
+            union = any(m >= 2 for m in live_in.values())
+            assert weights[c] == value
+            assert ((engine.unrolled, state, c) in through_nfa) == union
+            if union:
+                unions += 1
+            else:
+                assert stream._k is None
+                swept += 1
+    assert swept > 300 and unions > 15

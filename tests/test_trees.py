@@ -83,6 +83,21 @@ def test_deep_caterpillar_round_trips():
     assert [n.label for _, n in back.nodes()] == [n.label for _, n in t.nodes()]
 
 
+def test_deep_trees_built_apart_compare_without_recursion():
+    """Equality of two 4001-node caterpillars built apart walks them with an
+    explicit stack."""
+    def caterpillar(bottom):
+        t = leaf(bottom)
+        for _ in range(2000):
+            t = Tree("f", (leaf("b"), t))
+        return t
+
+    t, same, other = caterpillar("a"), caterpillar("a"), caterpillar("c")
+    assert t is not same and t == same and hash(t) == hash(same)
+    assert t != other and t != leaf("a") and leaf("a") != t
+    assert {t: 1}[same] == 1
+
+
 def test_shape_counts_match_enumeration():
     for n in range(1, 10):
         for arities in [(2,), (1, 2), (1, 2, 3)]:
