@@ -17,9 +17,12 @@ growing partial trees top down; the branch estimates come from the completion
 counter and are memoized per (state, level, partial tree), which makes each
 accepted draw exactly uniform conditioned on the table (acceptance cancels the
 branch probabilities).  A partial tree with no run through non-empty cells
-is given weight zero without laying out its NFA, and one whose NFA layout
-has no union of live transitions is counted by the product along its one
-live path, as the counter would, without building the NFA.
+is given weight zero without laying out its NFA; that run check passes
+exactly when the count is positive, so a candidate that is the only one to
+pass it at its node is taken without being counted (only ratios of counts
+are read).  A partial tree whose NFA layout has no union of live
+transitions is counted by the product along its one live path, as the
+counter would, without building the NFA.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ from .trees import Tree, leaf
 from .unrolling import UnrolledAutomaton
 
 BOT = "BOT"
+
+_UNCHECKED = object()  # a partial tree the run check has not seen
 
 
 class EngineFail(RuntimeError):
@@ -301,27 +306,43 @@ class Engine:
 
     # -- completion estimates ------------------------------------------------
 
-    def estimate_partition(self, t: Tree, state: str, level: int) -> float:
-        """Estimated number of completions of the partial tree from
-        (state, level); exact zero iff there are none, and exact one/zero for
-        complete inputs.  Memoized per epoch."""
+    def completable(self, t: Tree, state: str, level: int) -> bool:
+        """Whether the partial tree has a completion from (state, level),
+        which is exactly when estimate_partition is positive, decided
+        without counting.  A complete tree must be accepted at that size.  A
+        level estimate is positive exactly when its cell is non-empty, so a
+        partial tree needs a run through holes of non-empty cells; one
+        without bumps pruned_by_run_check.  The verdict on a partial tree
+        is memoized per epoch, with its count once one is made."""
         if t.full_size != level:
             raise ValueError(
                 f"partial tree has full size {t.full_size}, expected {level}"
             )
         if t.is_complete():
-            ok = t.size == level and state in self.base.derive_states(t)
-            return 1.0 if ok else 0.0
+            return t.size == level and state in self.base.derive_states(t)
         key = (state, level, t)
-        hit = self._ep_memo.get(key)
-        if hit is not None:
-            return hit
-        # A level estimate is positive exactly when its cell is non-empty, so
-        # a tree with no run through non-empty holes has no completion.
-        if not extended_run_exists(self.unrolled, t, state, self._live_holes):
-            self.stats.pruned_by_run_check += 1
-            self._ep_memo[key] = 0.0
+        hit = self._ep_memo.get(key, _UNCHECKED)
+        if hit is not _UNCHECKED:
+            return hit != 0.0
+        if extended_run_exists(self.unrolled, t, state, self._live_holes):
+            self._ep_memo[key] = None  # live, not yet counted
+            return True
+        self.stats.pruned_by_run_check += 1
+        self._ep_memo[key] = 0.0
+        return False
+
+    def estimate_partition(self, t: Tree, state: str, level: int) -> float:
+        """Estimated number of completions of the partial tree from
+        (state, level); exact zero iff there are none, and exact one/zero for
+        complete inputs.  Memoized per epoch."""
+        if not self.completable(t, state, level):
             return 0.0
+        if t.is_complete():
+            return 1.0
+        key = (state, level, t)
+        value = self._ep_memo[key]
+        if value is not None:
+            return value
         layout = partition_layout(self.unrolled, t, state)
         self.stats.partition_nfas += 1
         value = 0.0
@@ -388,6 +409,7 @@ class Engine:
             level,
             self._leaf_alphabet,
             self._node_alphabet,
+            lambda partial: self.completable(partial, state, level),
             lambda partial: self.estimate_partition(partial, state, level),
             est,
             stream,

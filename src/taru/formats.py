@@ -40,6 +40,9 @@ def _load_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{what}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        # The json decoder recurses once per nested object or array.
+        raise FormatError(f"{what}: JSON nested too deeply")
 
 
 def _expect_list(obj, key, what):

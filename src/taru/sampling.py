@@ -3,10 +3,11 @@
 A sample from the size-i language of a state is grown from a single hole of
 size i.  Each round expands the smallest hole into every compatible root
 symbol and left/right size split; one branch is chosen with probability
-proportional to an estimate of how many completions it admits.  A final
-acceptance coin with probability 1/(2 * branch-product * slice-estimate)
-makes accepted outputs exactly uniform, because the product of branch
-probabilities cancels.
+proportional to an estimate of how many completions it admits.  Only
+ratios of estimates are read, so a branch that is the only one with a
+completion is taken without estimating it.  A final acceptance coin with
+probability 1/(2 * branch-product * slice-estimate) makes accepted outputs
+exactly uniform, because the product of branch probabilities cancels.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ def immediate_extensions(
 
 class ChoiceNode:
     """One partial tree on the walk from a root hole: its live candidates,
-    their weights, total and running sums, and a child node per candidate,
-    made when that candidate is first picked.  The smallest hole is always
-    expanded first, so each partial tree has one parent and the nodes form a
-    tree."""
+    their weights (1.0 for a lone one, which is not counted), total and
+    running sums, and a child node per candidate, made when that candidate
+    is first picked.  The smallest hole is always expanded first, so each
+    partial tree has one parent and the nodes form a tree."""
 
     __slots__ = ("tree", "options", "weights", "total", "cum", "children")
 
@@ -78,13 +79,17 @@ class ChoiceNode:
         self.tree = tree
         self.cum = None  # set, with the rest, when the node is expanded
 
-    def expand(self, leaf_symbols, node_symbols, estimator: Callable[[Tree], float]) -> None:
-        options, weights = [], []
-        for c in immediate_extensions(self.tree, min_hole(self.tree), leaf_symbols, node_symbols):
-            w = estimator(c)
-            if w > 0.0:
-                options.append(c)
-                weights.append(w)
+    def expand(self, leaf_symbols, node_symbols, live: Callable[[Tree], bool],
+               estimator: Callable[[Tree], float]) -> None:
+        options = list(filter(live, immediate_extensions(
+            self.tree, min_hole(self.tree), leaf_symbols, node_symbols)))
+        if len(options) > 1:
+            weights = list(map(estimator, options))
+        else:
+            # A lone live candidate is picked whatever its weight: w / w is
+            # 1.0 for every positive w, and Rand.pick over one running sum
+            # returns 0 after its one random().  So it is not counted.
+            weights = [1.0] * len(options)
         self.options = options
         self.weights = weights
         self.total = sum(weights)
@@ -102,6 +107,7 @@ def sample_tree(
     level: int,
     leaf_symbols,
     node_symbols,
+    live: Callable[[Tree], bool],
     estimator: Callable[[Tree], float],
     slice_estimate: float,
     stream: Stream,
@@ -113,8 +119,10 @@ def sample_tree(
     returns a complete Tree, FAIL, or EMPTY.  A clamped acceptance
     probability bumps `stats.clamped_accepts`.
 
-    Candidates of weight zero are dropped: `weighted_index` never picks them
-    and they add nothing to the total, and `Rand.pick` picks what it would.
+    `live(c)` must hold exactly when `estimator(c) > 0`.  Candidates it
+    rejects are dropped: `weighted_index` never picks a weight of zero and
+    it adds nothing to the total, so `Rand.pick` picks what it would.  The
+    estimator is asked only where two or more candidates are live.
     `expansions`, when given, keeps the choice tree grown from each root
     size across draws, so it must only be shared between draws with the same
     estimator."""
@@ -129,7 +137,7 @@ def sample_tree(
     phi = 1.0
     while not node.tree.is_complete():
         if node.cum is None:
-            node.expand(leaf_symbols, node_symbols, estimator)
+            node.expand(leaf_symbols, node_symbols, live, estimator)
         if node.total <= 0.0:
             return FAIL
         k = rand.pick(node.cum)

@@ -102,12 +102,20 @@ class Tree:
         return out
 
     def replace(self, address: tuple[int, ...], subtree: "Tree") -> "Tree":
-        if not address:
-            return subtree
-        i = address[0]
-        kids = list(self.children)
-        kids[i - 1] = kids[i - 1].replace(address[1:], subtree)
-        return Tree(self.label, tuple(kids))
+        """This tree with the subtree at the address swapped for another;
+        the nodes off the address are shared.  Iterative, so any depth
+        works."""
+        spine = []
+        t = self
+        for i in address:
+            spine.append(t)
+            t = t.children[i - 1]
+        for i in reversed(address):
+            t = spine.pop()
+            kids = list(t.children)
+            kids[i - 1] = subtree
+            subtree = Tree(t.label, tuple(kids))
+        return subtree
 
     def text(self) -> str:
         if self._text is None:
@@ -115,9 +123,25 @@ class Tree:
         return self._text
 
     def to_json(self):
-        if self.is_hole():
-            return {"hole": self.label}
-        return {"label": self.label, "children": [c.to_json() for c in self.children]}
+        """The JSON object form tree_from_json reads.  Iterative, so any
+        depth works."""
+        root = _json_shell(self)
+        stack = [(self, root)]
+        while stack:
+            t, obj = stack.pop()
+            for c in t.children:
+                child = _json_shell(c)
+                obj["children"].append(child)
+                stack.append((c, child))
+        return root
+
+
+def _json_shell(t: Tree) -> dict:
+    """t's JSON object without its children's: {"hole": size}, or its
+    label and an empty children list to fill."""
+    if t.is_hole():
+        return {"hole": t.label}
+    return {"label": t.label, "children": []}
 
 
 def _equal_deep(a: Tree, b: Tree) -> bool:
@@ -265,7 +289,9 @@ def parse_tree(text: str) -> Tree:
     return root
 
 
-def tree_from_json(obj) -> Tree:
+def _json_node(obj):
+    """A hole read from its JSON object, or the label and child objects of
+    a labelled node."""
     if not isinstance(obj, dict):
         raise TreeParseError("tree JSON must be an object", 0)
     if "hole" in obj:
@@ -279,7 +305,31 @@ def tree_from_json(obj) -> Tree:
     if not isinstance(label, str):
         raise TreeParseError("tree labels must be strings", 0)
     kids = obj.get("children", [])
-    return Tree(label, tuple(tree_from_json(c) for c in kids))
+    if not isinstance(kids, list):
+        raise TreeParseError("tree children must be a list", 0)
+    return label, kids
+
+
+def tree_from_json(obj) -> Tree:
+    """The tree of a JSON object {"label": ..., "children": [...]}, with
+    holes as {"hole": size}.  Iterative, so any depth works."""
+    # open_nodes holds the label, child objects and children built so far
+    # of every node not yet finished, under a root stand-in.
+    done: list[Tree] = []
+    open_nodes: list[tuple[object, list, list]] = [(None, [obj], done)]
+    while open_nodes:
+        label, kids, built = open_nodes[-1]
+        if len(built) < len(kids):
+            node = _json_node(kids[len(built)])
+            if isinstance(node, Tree):
+                built.append(node)
+            else:
+                open_nodes.append((node[0], node[1], []))
+            continue
+        open_nodes.pop()
+        if open_nodes:
+            open_nodes[-1][2].append(Tree(label, tuple(built)))
+    return done[0]
 
 
 def count_shapes(n: int, arities: tuple[int, ...]) -> int:

@@ -218,6 +218,22 @@ def test_partition_count_modes(files, capsys):
     assert abs(_json_out(out)["estimate"] - 2.0) <= 0.5
 
 
+def test_partition_count_of_a_deep_json_tree_is_an_input_error(files, capsys):
+    """The json decoder recurses per nesting level, so a 600-deep caterpillar
+    given as JSON exits 2 with an input error, not a RecursionError; the
+    same tree given as text is counted."""
+    aut = files("cat.json", CATALAN)
+    text = "a(a," * 600 + "a" + ")" * 600
+    deep = '{"label": "a", "children": [{"label": "a"}, ' * 600 + '{"label": "a"}' + "]}" * 600
+    argv = ["partition-count", "--automaton", aut, "--state", "r", "--level", "1201",
+            "--partial-tree"]
+    code, out, err = _run(capsys, argv + ["@" + files("deep.json", deep)])
+    assert code == 2 and out == ""
+    assert err.strip() == "input error: tree: JSON nested too deeply"
+    code, out, _ = _run(capsys, argv + ["@" + files("deep.txt", text)])
+    assert code == 0 and _json_out(out)["estimate"] == 1.0
+
+
 CIRCUIT = json.dumps(
     {
         "gates": [
@@ -420,3 +436,30 @@ def test_cq_count_path3_over_thirty_vertices(files, capsys):
     assert len(joined) == 511
     assert result["estimate"] == 513.0
     assert abs(result["estimate"] - 511) <= result["epsilon"] * 511
+
+
+def test_cq_count_path4_over_thirty_vertices(files, capsys):
+    """A length-4 path query over the same graph counts through the CLI in
+    under a second: only the completion layouts of real choices are
+    counted.  The estimate is pinned at seed 1 and lies within epsilon of
+    the join count, 741."""
+    rng = random.Random(1)
+    vertices = [f"v{i}" for i in range(30)]
+    edges = sorted(
+        (a, b) for a in vertices for b in rng.sample([b for b in vertices if b != a], 3)
+    )
+    q = files("q.txt", "Q(x,v) :- E(x,y), E(y,z), E(z,w), E(w,v).\n")
+    d = files("d.txt", "".join(f"E({a},{b}).\n" for a, b in edges))
+    code, out, _ = _run(capsys, ["cq-count", "--query", q, "--database", d, "--seed", "1"])
+    assert code == 0
+    result = _json_out(out)
+    succ: dict = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    joined = {
+        (x, v) for x in vertices for y in succ[x] for z in succ[y] for w in succ[z]
+        for v in succ[w]
+    }
+    assert len(joined) == 741
+    assert result["estimate"] == 752.620361328125
+    assert abs(result["estimate"] - 741) <= result["epsilon"] * 741

@@ -376,20 +376,23 @@ def test_union_certificate_sums_its_disjuncts_counters(monkeypatch):
     assert len(made) == 2
     summed = made[0].handle.stats + made[1].handle.stats
     assert res.certificate["warnings"] == dataclasses.asdict(summed)
-    # The draws made completion layouts that neither disjunct's count needed.
-    assert summed.partition_nfas > 0
-    for sampler in made:
-        assert sampler.handle.stats.partition_nfas > 0
+    assert summed.pruned_by_run_check == 2
 
-    # Over a denser graph, two of the draws' layouts need the NFA counter.
-    made.clear()
+    # Over a denser graph the draws make completion layouts that neither
+    # disjunct's count needed, and with two edges per answer, some of those
+    # layouts need the NFA counter.
     edges = ["0,2", "0,5", "1,3", "1,4", "2,0", "2,5", "3,0", "3,5", "4,2", "4,3", "5,1", "5,4"]
     db = database_from_text("".join(f"E({e}).\n" for e in edges)
                             + "S(0).\nS(1).\nS(2).\nT(2).\nT(3).\nT(4).\n")
-    res = count_ucq(queries, db, None, Config(seed=1))
-    summed = made[0].handle.stats + made[1].handle.stats
-    assert res.certificate["warnings"] == dataclasses.asdict(summed)
-    assert summed.partition_unions == 2
+    paths = queries_from_text("Q(x,z) :- S(x), E(x,y), E(y,z).\n"
+                              "Q(x,z) :- T(x), E(x,y), E(y,z).\n")
+    for rules, layouts, unions in ((queries, 12, 0), (paths, 31, 11)):
+        made.clear()
+        res = count_ucq(rules, db, None, Config(seed=1))
+        summed = made[0].handle.stats + made[1].handle.stats
+        assert res.certificate["warnings"] == dataclasses.asdict(summed)
+        assert all(sampler.handle.stats.partition_nfas > 0 for sampler in made)
+        assert (summed.partition_nfas, summed.partition_unions) == (layouts, unions)
 
 
 def test_decomposition_validity_under_rerooting(q1_d1):

@@ -16,8 +16,10 @@ from taru.engine import (
     fpras_bta,
     fpras_ta,
 )
+from taru.formats import database_from_text, queries_from_text
 from taru.oracles import brute_slice
 from taru.rng import Stream
+from taru.sampling import EMPTY, FAIL, immediate_extensions, min_hole
 from taru.snfa import OracleExhausted
 from taru.trees import Tree, hole, parse_tree
 
@@ -311,18 +313,19 @@ def test_structure_counters_reach_the_certificate_and_are_pinned(fig3):
     """Completion layouts made, how many were empty, and partial trees pruned
     by the run check, at seed 1: after a count and after fifty draws.  Beside
     them, the layouts whose count needed the NFA counter: none for the
-    count, twenty for the draws."""
+    count, four for the draws.  A draw counts only candidates with a live
+    sibling."""
     warnings = fpras_bta(fig3, 13, Config(seed=1)).certificate["warnings"]
     assert (warnings["partition_nfas"], warnings["empty_partition_nfas"],
-            warnings["pruned_by_run_check"]) == (56, 0, 18)
+            warnings["pruned_by_run_check"]) == (10, 0, 18)
     assert warnings["partition_unions"] == 0
     sampler = fpaus(fig3, 11, Config(seed=1))
     for _ in range(50):
         sampler.draw()
     warnings = sampler.handle.count().certificate["warnings"]
     assert (warnings["partition_nfas"], warnings["empty_partition_nfas"],
-            warnings["pruned_by_run_check"]) == (179, 0, 45)
-    assert warnings["partition_unions"] == 20
+            warnings["pruned_by_run_check"]) == (41, 0, 45)
+    assert warnings["partition_unions"] == 4
 
 
 def test_fpras_ta_on_binary_arity_input_counts_at_size_n(mixed):
@@ -412,24 +415,27 @@ def _deepest_sketch_fill(monkeypatch, automaton, n) -> int:
 
 def test_lazy_sketch_fills_do_not_nest_deeper_with_n(monkeypatch, fig3):
     """Sketches are filled when first read.  The build reads them in level
-    order, so a larger slice adds at most one nested fill (8 frames)."""
-    for automaton, small, large in ((fig3, 15, 19), (ALL_AMBIGUOUS, 9, 11)):
+    order, so once fills nest at all, a larger slice adds at most one nested
+    fill (8 frames)."""
+    # fpras_bta(fig3, 13) fills sketches from the build alone.
+    unnested = _deepest_sketch_fill(monkeypatch, fig3, 13)
+    for automaton, small, large in ((fig3, 17, 21), (ALL_AMBIGUOUS, 9, 11)):
         shallow = _deepest_sketch_fill(monkeypatch, automaton, small)
         deep = _deepest_sketch_fill(monkeypatch, automaton, large)
-        assert shallow > 0
+        assert shallow > unnested
         assert deep - shallow <= 8
 
 
 def test_sketch_fills_made_by_draws_do_not_nest_deeper_with_n(monkeypatch):
     """Draws fill the sketches their completion NFAs read, which can fill
     lower sketches in turn; on a dense random automaton that chain is as
-    deep at n = 21 as at n = 17."""
+    deep at n = 27 as at n = 23."""
     automaton = random_binary_automaton(
         random.Random(9), n_states=3, n_symbols=1, n_internal=7, n_leaf=2
     )
     draw = Engine._draw_sketch_entry
     depths = []
-    for n in (17, 21):
+    for n in (23, 27):
         sampler = fpaus(automaton, n, Config(seed=1))
         active, deepest = [0], [0]
 
@@ -450,8 +456,59 @@ def test_sketch_fills_made_by_draws_do_not_nest_deeper_with_n(monkeypatch):
     assert depths[1] <= depths[0]
 
 
-def test_cq_sampling_builds_no_empty_partition_nfa(monkeypatch, q1_d1):
-    """Dead candidates are pruned before any partition NFA is built."""
+def _counting_sample_tree(level, leaf_symbols, node_symbols, live, estimator,
+                          slice_estimate, stream, stats, expansions):
+    """sample_tree's walk with every candidate counted: the weight of a
+    candidate is estimate_partition's (the count of a live one, else 0.0),
+    and zero weights stay in for weighted_index to pass over.  Each partial
+    tree's candidates and weights are kept in `expansions` across draws."""
+    if slice_estimate <= 0.0:
+        return EMPTY
+    rand = stream.rand()
+    t = hole(level)
+    phi = 1.0
+    while not t.is_complete():
+        hit = expansions.get(t)
+        if hit is None:
+            options = immediate_extensions(t, min_hole(t), leaf_symbols, node_symbols)
+            weights = [estimator(c) if live(c) else 0.0 for c in options]
+            hit = expansions[t] = (options, weights)
+        options, weights = hit
+        if sum(weights) <= 0.0:
+            return FAIL
+        k = rand.weighted_index(weights)
+        phi *= weights[k] / sum(weights)
+        t = options[k]
+    accept = 1.0 / (2.0 * phi * slice_estimate)
+    if accept > 1.0:
+        accept = 1.0
+        stats.clamped_accepts += 1
+    return t if rand.bernoulli(accept) else FAIL
+
+
+def test_uncounted_lone_candidates_change_no_draw(monkeypatch, fig3, mixed, q1_d1):
+    """The first 200 draws of two tree samplers and a CQ sampler, at two
+    seeds, equal those of a walk that counts every candidate."""
+    q1, d1 = q1_d1
+    makers = [
+        lambda seed: fpaus(fig3, 13, Config(seed=seed)),
+        lambda seed: fpaus(mixed, 11, Config(seed=seed)),
+        lambda seed: sample_cq(q1, d1, None, Config(seed=seed)),
+    ]
+    for make in makers:
+        for seed in (1, 2):
+            sampler = make(seed)
+            drawn = [sampler.draw() for _ in range(200)]
+            with monkeypatch.context() as m:
+                m.setattr(taru.engine, "sample_tree", _counting_sample_tree)
+                counting = make(seed)
+                assert [counting.draw() for _ in range(200)] == drawn
+
+
+def test_cq_sampling_builds_no_empty_partition_nfa(monkeypatch):
+    """Dead candidates are pruned before any partition NFA is built.  A
+    length-2 path query over a dense graph has real choices whose layouts
+    need the NFA counter."""
     built = []
     build = taru.engine.build_partition_nfa
 
@@ -461,8 +518,10 @@ def test_cq_sampling_builds_no_empty_partition_nfa(monkeypatch, q1_d1):
         return out
 
     monkeypatch.setattr(taru.engine, "build_partition_nfa", recording)
-    q1, d1 = q1_d1
-    sampler = sample_cq(q1, d1, None, Config(seed=1))
+    edges = ["0,2", "0,5", "1,3", "1,4", "2,0", "2,5", "3,0", "3,5", "4,2", "4,3", "5,1", "5,4"]
+    db = database_from_text("".join(f"E({e}).\n" for e in edges) + "S(0).\nS(1).\nS(2).\n")
+    (query,) = queries_from_text("Q(x,z) :- S(x), E(x,y), E(y,z).\n")
+    sampler = sample_cq(query, db, None, Config(seed=1))
     for _ in range(10):
         sampler.draw()
     assert built

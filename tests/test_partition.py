@@ -348,6 +348,22 @@ def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan
         assert len(fanned) < len(want.nfa.transitions)
 
 
+def test_completable_is_a_positive_completion_count(fig3, catalan, mixed, q1_d1):
+    """Along the same walks, the engine's liveness test passes for exactly
+    the candidates of the full alphabet whose completion count is
+    positive, so a draw may skip counting a lone live candidate."""
+    live = dead = 0
+    for engine, state, level, full, _, weights in _candidate_walks(
+            fig3, catalan, mixed, q1_d1):
+        for c in full:
+            # Ask the run check, not the memo of the count just made.
+            engine._ep_memo.pop((state, level, c), None)
+            assert engine.completable(c, state, level) == (weights[c] > 0.0)
+            live += weights[c] > 0.0
+            dead += weights[c] == 0.0
+    assert live > 300 and dead > 1000
+
+
 # Built estimates are sums of products of sketch fractions with few bits, so
 # their products are exact in any order; rescaled ones are not.
 @pytest.mark.parametrize("rescale", [False, True])

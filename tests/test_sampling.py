@@ -77,8 +77,14 @@ def test_extensions_partition_completions(catalan):
         assert union == parent
 
 
+def _positive(estimator):
+    """The liveness test sample_tree needs beside an estimator."""
+    return lambda t: estimator(t) > 0.0
+
+
 def test_sample_tree_empty():
-    out = sample_tree(3, {"a"}, {"a"}, lambda t: 1.0, 0.0, Stream.from_seed(0))
+    out = sample_tree(3, {"a"}, {"a"}, lambda t: True, lambda t: 1.0, 0.0,
+                      Stream.from_seed(0))
     assert out == EMPTY
 
 
@@ -98,7 +104,8 @@ def test_sample_tree_unique_language():
 
     seen = set()
     for i in range(40):
-        out = sample_tree(5, {"a"}, {"a"}, estimator, 1.0, Stream.from_seed(i))
+        out = sample_tree(5, {"a"}, {"a"}, _positive(estimator), estimator, 1.0,
+                          Stream.from_seed(i))
         if isinstance(out, Tree):
             seen.add(out)
     assert seen == {target}
@@ -134,10 +141,10 @@ def test_sample_tree_expansion_memo_changes_no_draw():
     for est in (estimator, pruning_estimator):
         expansions = {}
         for i in range(30):
-            plain = sample_tree(7, {"a", "b"}, {"a", "b"}, est, 50.0, Stream.from_seed(i))
-            shared = sample_tree(
-                7, {"a", "b"}, {"a", "b"}, est, 50.0, Stream.from_seed(i), None, expansions
-            )
+            plain = sample_tree(7, {"a", "b"}, {"a", "b"}, _positive(est), est, 50.0,
+                                Stream.from_seed(i))
+            shared = sample_tree(7, {"a", "b"}, {"a", "b"}, _positive(est), est, 50.0,
+                                 Stream.from_seed(i), None, expansions)
             assert shared == plain
             assert plain == _unpruned_sample_tree(
                 7, {"a", "b"}, est, 50.0, Stream.from_seed(i)
@@ -155,6 +162,41 @@ def test_sample_tree_expansion_memo_changes_no_draw():
                for node in expanded)
 
 
+def test_lone_live_candidates_are_not_counted():
+    """The estimator is asked only at nodes with two or more live
+    candidates; a lone live one is weighted 1.0, and the draws equal those
+    of the walk that counts every candidate."""
+    def live(t):
+        return all(n.label != "b" or n.children for _, n in t.nodes())
+
+    asked = set()
+
+    def estimator(t):
+        asked.add(t)
+        return float(t.size) if live(t) else 0.0
+
+    expansions = {}
+    drawn = [sample_tree(7, {"a", "b"}, {"a", "b"}, live, estimator, 50.0,
+                         Stream.from_seed(i), None, expansions) for i in range(30)]
+    counted = set(asked)
+    assert drawn == [_unpruned_sample_tree(7, {"a", "b"}, estimator, 50.0, Stream.from_seed(i))
+                     for i in range(30)]
+    lone = real = 0
+    nodes = list(expansions.values())
+    while nodes:
+        node = nodes.pop()
+        if node.cum is None:
+            continue
+        nodes.extend(c for c in node.children if c is not None)
+        if len(node.options) == 1:
+            lone += 1
+            assert node.weights == [1.0] and node.options[0] not in counted
+        else:
+            real += 1
+            assert all(c in counted for c in node.options)
+    assert lone > 10 and real > 10
+
+
 def test_sample_tree_pass_count_bookkeeping(monkeypatch):
     """One loop pass per node: a size-i draw expands exactly i nodes on its
     path, and the acceptance coin reads the branch product of the recorded
@@ -168,8 +210,8 @@ def test_sample_tree_pass_count_bookkeeping(monkeypatch):
 
     monkeypatch.setattr(Rand, "bernoulli", recorded_bernoulli)
     expansions = {}
-    out = sample_tree(7, {"a"}, {"a"}, lambda t: 1.0, 5.0, Stream.from_seed(3), None,
-                      expansions)
+    out = sample_tree(7, {"a"}, {"a"}, lambda t: True, lambda t: 1.0, 5.0,
+                      Stream.from_seed(3), None, expansions)
     assert out == FAIL or isinstance(out, Tree)
     expanded, phi, node = 0, 1.0, expansions[7]
     while node.cum is not None:

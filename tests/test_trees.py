@@ -45,6 +45,14 @@ def test_parse_rejects():
             parse_tree(bad)
 
 
+def test_tree_from_json_rejects():
+    for bad in [[], {"children": []}, {"label": 1}, {"hole": 0}, {"hole": "3"},
+                {"label": "a", "children": {"label": "b"}},
+                {"label": "a", "children": [{"label": "b"}, "c"]}]:
+        with pytest.raises(TreeParseError):
+            tree_from_json(bad)
+
+
 def test_quoted_labels_round_trip():
     t = Tree("weird label|=,", (leaf("x"),))
     assert parse_tree(serialize_tree(t)) == t
@@ -81,6 +89,31 @@ def test_deep_caterpillar_round_trips():
     assert back.size == 4001
     assert serialize_tree(back) == text
     assert [n.label for _, n in back.nodes()] == [n.label for _, n in t.nodes()]
+
+
+def test_deep_caterpillar_replaces_and_round_trips_through_json():
+    """Tree.replace, Tree.to_json and tree_from_json work at any depth."""
+    def caterpillar(bottom):
+        t = bottom
+        for _ in range(2000):
+            t = Tree("f", (leaf("b"), t))
+        return t
+
+    t = caterpillar(leaf("a"))
+    bottom = (2,) * 2000
+    partial = t.replace(bottom, hole(1))
+    assert partial == caterpillar(hole(1)) and partial.full_size == 4001
+    assert partial.holes() == [(bottom, 1)]
+    assert partial.replace(bottom, leaf("a")) == t
+    assert partial.node(bottom[:-1]).children[0] is t.node(bottom[:-1]).children[0]
+    for tree in (t, partial):
+        obj = tree.to_json()
+        assert tree_from_json(obj) == tree
+    node = partial.to_json()
+    for _ in range(2000):
+        assert node["label"] == "f" and node["children"][0] == {"label": "b", "children": []}
+        node = node["children"][1]
+    assert node == {"hole": 1}
 
 
 def test_deep_trees_built_apart_compare_without_recursion():
