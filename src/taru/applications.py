@@ -28,7 +28,7 @@ from .cq import (
 )
 from .engine import CountResult, fpras_bta
 from .oracles import DEFAULT_BUDGET, BudgetExceeded
-from .trees import Tree, leaf
+from .trees import Tree
 
 
 # -- existential constraint satisfaction -------------------------------------
@@ -498,28 +498,6 @@ def nwa_accepts(nwa: NestedWordAutomaton, word: NestedWord) -> bool:
 
     pairs = seq_pairs(units)
     return any(q0 in nwa.initial and qf in nwa.final for (q0, qf) in pairs)
-
-
-def encode_nested_word(word: NestedWord) -> Tree:
-    """Binary tree encoding: a cons spine of units ended by '#', where an
-    internal position is a letter leaf and a call/return pair is a node
-    '<a|b>' holding the encoded inner segment and a '#' pad.  Length n maps
-    to size 2n+1."""
-    units = _units(word)
-
-    def enc_seq(units) -> Tree:
-        if not units:
-            return leaf("#")
-        head, rest = units[0], units[1:]
-        return Tree(".", (enc_unit(head), enc_seq(rest)))
-
-    def enc_unit(u) -> Tree:
-        if isinstance(u, str):
-            return leaf(u)
-        a, inner, b = u
-        return Tree(f"<{a}|{b}>", (enc_seq(inner), leaf("#")))
-
-    return enc_seq(units)
 
 
 def nwa_tree_size(n: int) -> int:

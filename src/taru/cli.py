@@ -79,7 +79,7 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {e}")
 
 
-def _budget(args) -> int | None:
+def _budget() -> int | None:
     env = os.environ.get("TARU_BUDGET")
     if env is not None:
         try:
@@ -216,7 +216,7 @@ def _cmd_count(args, started) -> int:
     _check_n(args.n)
     digests = {"automaton": file_digest(args.automaton)}
     if args.mode == "brute":
-        result = brute_slice(automaton, args.n, budget=_budget(args))
+        result = brute_slice(automaton, args.n, budget=_budget())
         _emit({"count": len(result), "mode": "brute", "n": args.n, "inputs": digests},
               f"exact count {len(result)}", started)
         return 0
@@ -259,7 +259,7 @@ def _cmd_nfa_count(args, started) -> int:
         raise UsageError(f"--k must lie in [1, {MAX_N}]")
     digests = {"nfa": file_digest(args.nfa)}
     if args.mode == "brute":
-        count = brute_nfa_count(nfa, args.k, budget=_budget(args))
+        count = brute_nfa_count(nfa, args.k, budget=_budget())
         _emit({"count": count, "mode": "brute", "k": args.k, "inputs": digests},
               f"exact count {count}", started)
         return 0
@@ -367,7 +367,7 @@ def _cmd_partition_count(args, started) -> int:
         from .oracles import brute_completions
 
         completions = brute_completions(
-            automaton, partial, args.state, args.level, budget=_budget(args)
+            automaton, partial, args.state, args.level, budget=_budget()
         )
         _emit({"count": len(completions), "mode": "brute", "inputs": digests},
               f"exact completions {len(completions)}", started)
@@ -381,7 +381,7 @@ def _cmd_partition_count(args, started) -> int:
 
 
 def _cmd_oracle(args, started) -> int:
-    budget = _budget(args)
+    budget = _budget()
     if args.automaton and args.n is not None:
         automaton = automaton_from_json(_read(args.automaton))
         result = brute_slice(automaton, args.n, budget=budget)

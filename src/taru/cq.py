@@ -428,7 +428,6 @@ class ReductionResult:
     n: int
     head: tuple[str, ...]
     label_assignments: dict[str, tuple[tuple[str, str], ...]]
-    node_count: int
 
     def decode_answer(self, tree: Tree) -> tuple:
         """Read the answer tuple back off an accepted tree's labels."""
@@ -536,7 +535,7 @@ def reduce_cq_to_ta(
         automaton = TreeAutomaton(states | {"^init"}, alphabet or {"[]"}, [], "^init")
     else:
         automaton = merge_initial_states(states, alphabet, transitions, initials)
-    return ReductionResult(automaton, len(hd), query.head, label_assignments, len(hd))
+    return ReductionResult(automaton, len(hd), query.head, label_assignments)
 
 
 class CqSampler:

@@ -14,13 +14,13 @@ measurements and back the tree-language oracles of the completion-counting
 NFAs used while sampling; their entries come from structurally keyed streams,
 so when a sketch is filled changes none of its trees.  Samples are drawn by
 growing partial trees top down; the branch estimates come from the completion
-counter and are memoized per (state, level, partial tree), which makes each
-accepted draw exactly uniform conditioned on the table (acceptance cancels the
-branch probabilities).  A partial tree with no run through non-empty cells
-is given weight zero without laying out its NFA; that run check passes
-exactly when the count is positive, so a candidate that is the only one to
-pass it at its node is taken without being counted (only ratios of counts
-are read).  A partial tree whose NFA layout has no union of live
+counter and are held in the choice tree, one root per (state, level), which
+makes each accepted draw exactly uniform conditioned on the table (acceptance
+cancels the branch probabilities).  A partial tree with no run through
+non-empty cells is given weight zero without laying out its NFA; that run
+check passes exactly when the count is positive, so a candidate that is the
+only one to pass it at its node is taken without being counted (only ratios
+of counts are read).  A partial tree whose NFA layout has no union of live
 transitions is counted by the product along its one live path, as the
 counter would, without building the NFA.
 """
@@ -47,18 +47,16 @@ from .partition import (
     HoleFilter,
     PartitionLayout,
     build_partition_nfa,
-    extended_run_exists,
     partition_layout,
+    up_states,
 )
 from .rng import Stream
-from .sampling import EMPTY, FAIL, sample_tree
+from .sampling import EMPTY, FAIL, ChoiceNode, sample_tree
 from .snfa import LabelOracle, NfaCounter, OracleExhausted
-from .trees import Tree, leaf
+from .trees import Tree, hole, leaf
 from .unrolling import UnrolledAutomaton
 
 BOT = "BOT"
-
-_UNCHECKED = object()  # a partial tree the run check has not seen
 
 
 class EngineFail(RuntimeError):
@@ -81,6 +79,7 @@ class _SketchLabel(LabelOracle):
         self._bits = 2.0 * level + level * math.log2(
             max(2, len(engine.unrolled.base.alphabet))
         )
+        self._constant = None  # whether the full sketch repeats one tree; set on first replay
 
     def member(self, element) -> bool:
         return isinstance(element, Tree) and self.engine.unrolled.member(
@@ -116,7 +115,9 @@ class _SketchLabel(LabelOracle):
 
             return draw_fresh
         pool = engine.sketch(state, level)
-        if engine.sketch_is_constant(state, level):
+        if self._constant is None:
+            self._constant = all(t == pool[0] for t in pool)
+        if self._constant:
             left = [len(pool)]
 
             def draw_constant():
@@ -150,9 +151,7 @@ class Engine:
         self.root_stream = Stream.from_seed(config.seed).child("engine")
         self.est_table: dict[tuple[str, int], float] = {}
         self._sketches: dict[tuple[str, int, int], list[Tree]] = {}
-        self._constant: dict[tuple[str, int, int], bool] = {}
-        self._ep_memo: dict = {}
-        self._expansions: dict = {}
+        self._roots: dict[tuple[str, int], ChoiceNode] = {}
         self._leaf_choices = {
             s: sorted(set(symbols)) for s, symbols in automaton.leaf_symbols.items()
         }
@@ -182,16 +181,6 @@ class Engine:
     def sketch(self, state: str, level: int) -> list[Tree]:
         """The full sample set for (state, level) in the current epoch."""
         return self._filled(state, level, self.params.alpha)
-
-    def sketch_is_constant(self, state: str, level: int) -> bool:
-        """Whether every entry of the full sketch is the same tree."""
-        key = (state, level, self.epoch)
-        hit = self._constant.get(key)
-        if hit is None:
-            pool = self.sketch(state, level)
-            hit = all(t == pool[0] for t in pool)
-            self._constant[key] = hit
-        return hit
 
     def sketch_entry(self, state: str, level: int, index: int) -> Tree:
         """Entry index of the (state, level) sample set, drawing only the
@@ -236,8 +225,7 @@ class Engine:
         for i in range(2, self.n + 1):
             if self.params.refresh_epochs:
                 self.epoch = i
-                self._ep_memo.clear()
-                self._expansions.clear()
+                self._roots.clear()
             # Sketches are filled on first read, not here.  The overlaps
             # read them level by level, so a fill mostly finds the lower
             # cells it needs already filled, and nested fills stay a few
@@ -312,58 +300,47 @@ class Engine:
         without counting.  A complete tree must be accepted at that size.  A
         level estimate is positive exactly when its cell is non-empty, so a
         partial tree needs a run through holes of non-empty cells; one
-        without bumps pruned_by_run_check.  The verdict on a partial tree
-        is memoized per epoch, with its count once one is made."""
+        without bumps pruned_by_run_check.  The run check keeps its answers
+        for partial subtrees, so asking again about a tree, as
+        estimate_partition does after a walk's liveness test, is a lookup."""
         if t.full_size != level:
             raise ValueError(
                 f"partial tree has full size {t.full_size}, expected {level}"
             )
         if t.is_complete():
             return t.size == level and state in self.base.derive_states(t)
-        key = (state, level, t)
-        hit = self._ep_memo.get(key, _UNCHECKED)
-        if hit is not _UNCHECKED:
-            return hit != 0.0
-        if extended_run_exists(self.unrolled, t, state, self._live_holes):
-            self._ep_memo[key] = None  # live, not yet counted
+        if state in up_states(self.unrolled, t, self._live_holes):
             return True
         self.stats.pruned_by_run_check += 1
-        self._ep_memo[key] = 0.0
         return False
 
     def estimate_partition(self, t: Tree, state: str, level: int) -> float:
         """Estimated number of completions of the partial tree from
         (state, level); exact zero iff there are none, and exact one/zero for
-        complete inputs.  Memoized per epoch."""
+        complete inputs.  Each call counts afresh: the choice tree keeps the
+        counts it reads."""
         if not self.completable(t, state, level):
             return 0.0
         if t.is_complete():
             return 1.0
-        key = (state, level, t)
-        value = self._ep_memo[key]
-        if value is not None:
-            return value
         layout = partition_layout(self.unrolled, t, state)
         self.stats.partition_nfas += 1
-        value = 0.0
         if not any(layout.layers):
             self.stats.empty_partition_nfas += 1
-        else:
-            value = self._sweep(layout)
-            if value is None:
-                self.stats.partition_unions += 1
-                value = NfaCounter(
-                    build_partition_nfa(self.unrolled, t, state, self._label, layout).nfa,
-                    self.params.nfa,
-                    self.root_stream.child("part", self.epoch, state, level, t),
-                    self.stats,
-                ).run()
-            else:
-                layout.check_size(
-                    layout.nfa_size(lambda s, h: self._label(s, h).size_bound_bits())
-                )
-        self._ep_memo[key] = value
-        return value
+            return 0.0
+        value = self._sweep(layout)
+        if value is not None:
+            layout.check_size(
+                layout.nfa_size(lambda s, h: self._label(s, h).size_bound_bits())
+            )
+            return value
+        self.stats.partition_unions += 1
+        return NfaCounter(
+            build_partition_nfa(layout, self._label).nfa,
+            self.params.nfa,
+            self.root_stream.child("part", self.epoch, state, level, t),
+            self.stats,
+        ).run()
 
     def _sweep(self, layout: PartitionLayout) -> Optional[float]:
         """NfaCounter's count of the layout's NFA when no state has two
@@ -405,8 +382,11 @@ class Engine:
             if len(symbols) == 1:
                 return leaf(symbols[0])  # forced: reads no randomness
             return leaf(symbols[stream.rand().below(len(symbols))])
+        root = self._roots.get((state, level))
+        if root is None:
+            root = self._roots[(state, level)] = ChoiceNode(hole(level))
         return sample_tree(
-            level,
+            root,
             self._leaf_alphabet,
             self._node_alphabet,
             lambda partial: self.completable(partial, state, level),
@@ -414,7 +394,6 @@ class Engine:
             est,
             stream,
             self.stats,
-            self._expansions.setdefault((state, level), {}),
         )
 
 

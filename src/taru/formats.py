@@ -45,9 +45,44 @@ def _load_json(text: str, what: str):
         raise FormatError(f"{what}: JSON nested too deeply")
 
 
-def _expect_list(obj, key, what):
-    if key not in obj or not isinstance(obj[key], list):
-        raise FormatError(f"{what}: missing or non-list field {key!r}")
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _load_object(text: str, what: str, shape: dict) -> dict:
+    """The JSON object in text, checked against `shape` (see _check_shape),
+    so that the reader below it meets only the types it indexes into."""
+    obj = _load_json(text, what)
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what}: expected a JSON object")
+    _check_shape(obj, shape, what)
+    return obj
+
+
+def _check_shape(obj: dict, shape: dict, where: str) -> None:
+    """Each field of obj named in shape, when present, must be a list.  Its
+    entries must be objects checked against the nested shape (a dict),
+    lists of scalars (list), or scalars (None)."""
+    for key, entry in shape.items():
+        items = obj.get(key, [])
+        if not isinstance(items, list):
+            raise FormatError(f"{where}: field {key!r} must be a list")
+        for i, item in enumerate(items):
+            at = f"{where}: {key}[{i}]"
+            if isinstance(entry, dict):
+                if not isinstance(item, dict):
+                    raise FormatError(f"{at} must be an object")
+                _check_shape(item, entry, at)
+            elif entry is list:
+                if not isinstance(item, list) or not all(isinstance(x, _SCALARS) for x in item):
+                    raise FormatError(f"{at} must be a list of strings or numbers")
+            elif not isinstance(item, _SCALARS):
+                raise FormatError(f"{at} must be a string or number")
+
+
+def _required(obj, key, what):
+    """A field the reader needs; its type was checked on loading."""
+    if key not in obj:
+        raise FormatError(f"{what}: missing field {key!r}")
     return obj[key]
 
 
@@ -55,9 +90,10 @@ def _expect_list(obj, key, what):
 
 
 def automaton_from_json(text: str) -> TreeAutomaton:
-    obj = _load_json(text, "automaton")
-    states = _expect_list(obj, "states", "automaton")
-    alphabet = _expect_list(obj, "alphabet", "automaton")
+    obj = _load_object(text, "automaton", {
+        "states": None, "alphabet": None, "transitions": {"children": None}})
+    states = _required(obj, "states", "automaton")
+    alphabet = _required(obj, "alphabet", "automaton")
     if len(set(states)) != len(states):
         raise FormatError("automaton: duplicate state names")
     if len(set(alphabet)) != len(alphabet):
@@ -65,7 +101,7 @@ def automaton_from_json(text: str) -> TreeAutomaton:
     if "initial" not in obj:
         raise FormatError("automaton: missing field 'initial'")
     transitions = []
-    for i, t in enumerate(_expect_list(obj, "transitions", "automaton")):
+    for i, t in enumerate(_required(obj, "transitions", "automaton")):
         for key in ("from", "symbol"):
             if key not in t:
                 raise FormatError(f"automaton: transition {i} lacks {key!r}")
@@ -80,21 +116,10 @@ def automaton_from_json(text: str) -> TreeAutomaton:
         transitions.append((t["from"], t["symbol"], tuple(children)))
     if obj["initial"] not in states:
         raise FormatError(f"automaton: initial state {obj['initial']!r} is undeclared")
-    return TreeAutomaton(states, alphabet, transitions, obj["initial"], obj.get("arity"))
-
-
-def automaton_to_json(a: TreeAutomaton) -> str:
-    obj = {
-        "arity": a.arity,
-        "alphabet": sorted(a.alphabet),
-        "states": sorted(a.states),
-        "initial": a.initial,
-        "transitions": [
-            {"from": t.src, "symbol": t.symbol, "children": list(t.children)}
-            for t in a.transitions
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)
+    arity = obj.get("arity")
+    if arity is not None and type(arity) is not int:
+        raise FormatError("automaton: field 'arity' must be an integer")
+    return TreeAutomaton(states, alphabet, transitions, obj["initial"], arity)
 
 
 def tree_from_text(text: str) -> Tree:
@@ -108,8 +133,8 @@ def tree_from_text(text: str) -> Tree:
 
 
 def nfa_from_json(text: str) -> SuccinctNFA:
-    obj = _load_json(text, "nfa")
-    states = _expect_list(obj, "states", "nfa")
+    obj = _load_object(text, "nfa", {"states": None, "transitions": {"label": None}})
+    states = _required(obj, "states", "nfa")
     if len(set(states)) != len(states):
         raise FormatError("nfa: duplicate state names")
     for key in ("initial", "final"):
@@ -119,13 +144,13 @@ def nfa_from_json(text: str) -> SuccinctNFA:
             raise FormatError(f"nfa: {key} state {obj[key]!r} is undeclared")
     labels = {}
     transitions = []
-    for i, t in enumerate(_expect_list(obj, "transitions", "nfa")):
+    for i, t in enumerate(_required(obj, "transitions", "nfa")):
         for key in ("from", "to", "label"):
             if key not in t:
                 raise FormatError(f"nfa: transition {i} lacks {key!r}")
         if t["from"] not in states or t["to"] not in states:
             raise FormatError(f"nfa: transition {i} uses an undeclared state")
-        if not isinstance(t["label"], list) or not t["label"]:
+        if not t["label"]:
             raise FormatError(f"nfa: transition {i} label must be a nonempty list")
         if len(set(t["label"])) != len(t["label"]):
             raise FormatError(f"nfa: transition {i} label has duplicates")
@@ -237,9 +262,10 @@ def database_from_text(text: str) -> Database:
 
 
 def decomposition_from_json(text: str) -> HypertreeDecomposition:
-    obj = _load_json(text, "decomposition")
+    obj = _load_object(text, "decomposition", {
+        "nodes": {"chi": None, "xi": None, "children": None}})
     nodes = []
-    for i, node in enumerate(_expect_list(obj, "nodes", "decomposition")):
+    for i, node in enumerate(_required(obj, "nodes", "decomposition")):
         for key in ("id", "chi", "xi"):
             if key not in node:
                 raise FormatError(f"decomposition: node {i} lacks {key!r}")
@@ -275,7 +301,9 @@ def decompositions_from_json(text: str) -> list[Optional[HypertreeDecomposition]
 
 
 def ecsp_from_json(text: str) -> Ecsp:
-    obj = _load_json(text, "ecsp")
+    obj = _load_object(text, "ecsp", {
+        "output": None, "variables": None, "domain": None,
+        "constraints": {"scope": None, "tuples": list}})
     for key in ("output", "variables", "domain", "constraints"):
         if key not in obj:
             raise FormatError(f"ecsp: missing field {key!r}")
@@ -295,18 +323,19 @@ def ecsp_from_json(text: str) -> Ecsp:
 
 
 def circuit_from_json(text: str) -> DnnfCircuit:
-    obj = _load_json(text, "circuit")
+    obj = _load_object(text, "circuit", {"gates": {"inputs": None}})
     gates = []
-    for i, g in enumerate(_expect_list(obj, "gates", "circuit")):
+    for i, g in enumerate(_required(obj, "gates", "circuit")):
         if "id" not in g or "type" not in g:
             raise FormatError(f"circuit: gate {i} needs 'id' and 'type'")
-        kind = {"and": "and", "or": "or", "lit": "lit"}.get(g["type"])
-        if kind is None:
+        if g["type"] not in ("and", "or", "lit"):
             raise FormatError(f"circuit: gate {i} has unknown type {g['type']!r}")
+        if not isinstance(g.get("var"), _SCALARS):
+            raise FormatError(f"circuit: gate {i} has a non-scalar 'var'")
         gates.append(
             Gate(
                 str(g["id"]),
-                kind,
+                g["type"],
                 tuple(str(x) for x in g.get("inputs", [])),
                 g.get("var"),
                 bool(g.get("sign", True)),
@@ -318,7 +347,7 @@ def circuit_from_json(text: str) -> DnnfCircuit:
 
 
 def vtree_from_json(text: str) -> Tree:
-    obj = _load_json(text, "vtree")
+    obj = _load_object(text, "vtree", {})
 
     def build(node) -> Tree:
         if not isinstance(node, dict):
@@ -333,7 +362,9 @@ def vtree_from_json(text: str) -> Tree:
 
 
 def nwa_from_json(text: str) -> NestedWordAutomaton:
-    obj = _load_json(text, "nwa")
+    obj = _load_object(text, "nwa", {
+        "states": None, "alphabet": None, "initial": None, "final": None,
+        "hierarchical": None, "call": list, "internal": list, "return": list})
     for key in ("states", "alphabet", "initial", "final", "hierarchical",
                 "call", "internal", "return"):
         if key not in obj:

@@ -123,17 +123,14 @@ def check_bottom_up_deterministic(automaton: TreeAutomaton) -> None:
 
 
 def _dp_count(automaton: TreeAutomaton, n: int) -> int:
-    memo: dict[tuple[str, int], int] = {}
-
-    def count(state: str, size: int) -> int:
-        key = (state, size)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        if size == 1:
-            total += len(automaton.leaf_symbols.get(state, ()))
-        if size >= 2:
+    """Sum over transitions and split sizes of the products of child counts,
+    for every state, filled size by size up to n, so any n works."""
+    counts: dict[tuple[str, int], int] = {}
+    for size in range(1, n + 1):
+        for state in automaton.states:
+            total = 0
+            if size == 1:
+                total += len(automaton.leaf_symbols.get(state, ()))
             for t in automaton.transitions:
                 if t.src != state or not t.children:
                     continue
@@ -143,14 +140,12 @@ def _dp_count(automaton: TreeAutomaton, n: int) -> int:
                 for parts in _compositions(size - 1, r):
                     prod = 1
                     for i in range(r):
-                        prod *= count(t.children[i], parts[i])
+                        prod *= counts[t.children[i], parts[i]]
                         if prod == 0:
                             break
                     total += prod
-        memo[key] = total
-        return total
-
-    return count(automaton.initial, n)
+            counts[state, size] = total
+    return counts.get((automaton.initial, n), 0)
 
 
 def dp_count_bottom_up_deterministic(automaton: TreeAutomaton, n: int) -> int:

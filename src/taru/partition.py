@@ -125,49 +125,46 @@ def _derived(base, t: Tree) -> frozenset[str]:
         return frozenset()
 
 
-def up_states(
-    unrolled: UnrolledAutomaton,
-    t: Tree,
-    hole_filter: Optional[HoleFilter] = None,
-) -> frozenset[str]:
-    """States from which the partial subtree has a run, where a hole of size
-    h matches any state, or only hole_filter.at(h).  Complete subtrees are
-    answered from the automaton's derive_states cache; answers for partial
-    ones are kept in the filter's memo, or for this call only."""
+def up_states(unrolled: UnrolledAutomaton, t: Tree, hole_filter: HoleFilter) -> frozenset[str]:
+    """States from which the partial tree has a run, where a hole of size h
+    matches the states hole_filter.at(h).  Complete subtrees are answered
+    from the automaton's derive_states cache, and answers for partial ones
+    are kept in the filter's memo.  One pass with an explicit stack, so any
+    depth works; each child is looked up once."""
     base = unrolled.base
-    if t.is_complete():
-        return _derived(base, t)
-    memo = {} if hole_filter is None else hole_filter.memo
+    by_symbol = base.by_symbol
+    memo = hole_filter.memo
 
-    def up(t: Tree) -> frozenset[str]:
+    def known(t: Tree) -> Optional[frozenset[str]]:
         if t.is_complete():
             return _derived(base, t)
         if t.is_hole():
-            return base.states if hole_filter is None else hole_filter.at(t.label)
-        hit = memo.get(t)
-        if hit is not None:
-            return hit
-        kids = [up(c) for c in t.children]
-        result = memo[t] = frozenset(
+            return hole_filter.at(t.label)
+        return memo.get(t)
+
+    result = known(t)
+    # Each frame holds a partial subtree not in the memo and the answers
+    # for its first children.
+    stack = [] if result is not None else [(t, [])]
+    while stack:
+        node, kids = stack[-1]
+        if len(kids) < len(node.children):
+            child = node.children[len(kids)]
+            up = known(child)
+            if up is None:
+                stack.append((child, []))
+            else:
+                kids.append(up)
+            continue
+        stack.pop()
+        result = memo[node] = frozenset(
             tr.src
-            for tr in base.by_symbol.get((t.label, len(kids)), ())
+            for tr in by_symbol.get((node.label, len(kids)), ())
             if all(map(contains, kids, tr.children))
         )
-        return result
-
-    return up(t)
-
-
-def extended_run_exists(
-    unrolled: UnrolledAutomaton,
-    t: Tree,
-    state: str,
-    hole_filter: Optional[HoleFilter] = None,
-) -> bool:
-    """Is there a run over the partial tree from (state, full size), treating
-    holes as wildcards that accept any state at their level (or the states
-    hole_filter allows)?"""
-    return state in up_states(unrolled, t, hole_filter)
+        if stack:
+            stack[-1][1].append(result)
+    return result
 
 
 def _walk_down(
@@ -178,8 +175,9 @@ def _walk_down(
 ) -> frozenset[str]:
     """States a run can carry at the descendant of `node` that the child
     steps (1 or 2) lead to, when it carries one of `states` at `node`.  The
-    sibling off the way down at each step must be fully derivable.  The
-    automaton is binary, so a node of another arity carries no state."""
+    sibling off the way down at each step is complete and must be
+    derivable.  The automaton is binary, so a node of another arity carries
+    no state."""
     base = unrolled.base
     by_symbol = base.by_symbol
     for step in steps:
@@ -187,7 +185,7 @@ def _walk_down(
         if len(kids) != 2:
             return frozenset()
         i, j = step - 1, 2 - step
-        up = up_states(unrolled, kids[j])
+        up = _derived(base, kids[j])
         states = frozenset(
             tr.children[i]
             for tr in by_symbol.get((node.label, 2), ())
@@ -200,11 +198,6 @@ def _walk_down(
 @dataclass
 class PartitionNFA:
     nfa: SuccinctNFA
-    hole_count: int
-
-    @property
-    def word_length(self) -> int:
-        return self.hole_count + 1
 
 
 @dataclass
@@ -298,7 +291,7 @@ def partition_layout(unrolled: UnrolledAutomaton, t: Tree, state: str) -> Partit
         node = t.node(v)
         hole_step = path.holes[k - 1][len(v)]
         other_step = 3 - hole_step
-        other_up = up_states(unrolled, node.children[other_step - 1])
+        other_up = _derived(base, node.children[other_step - 1])  # holds no hole
         layer = [
             (tr.src, tr.children[hole_step - 1], last_size, None)
             for tr in base.by_symbol.get((node.label, 2), ())
@@ -318,24 +311,19 @@ def partition_layout(unrolled: UnrolledAutomaton, t: Tree, state: str) -> Partit
 
 
 def build_partition_nfa(
-    unrolled: UnrolledAutomaton,
-    t: Tree,
-    state: str,
+    layout: PartitionLayout,
     label_factory: Callable[[str, int], LabelOracle],
-    layout: Optional[PartitionLayout] = None,
 ) -> PartitionNFA:
     """The NFA whose accepted words '&' t_1 ... t_k are exactly the ways to
-    complete the partial tree from (state, full size): partition_layout's
-    transitions, or the given layout made by it for these arguments, with
-    state q at level l named q@l.
+    complete the partial tree from (state, full size) that
+    partition_layout(unrolled, t, state) laid out: the layout's
+    transitions, with state q at level l named q@l.
 
     label_factory(hole_state, hole_size) supplies the tree-language oracle
     used on the transition that fills a hole; it is asked only for labels
     the returned NFA uses.  States are listed level by level, each level's
     sorted, and transitions in the layout's order.
     """
-    if layout is None:
-        layout = partition_layout(unrolled, t, state)
     k = layout.hole_count
     layers = layout.layers
     states = ["s0"]
@@ -360,4 +348,4 @@ def build_partition_nfa(
             transitions.append(NfaTransition(src_name, key, dst_name))
     nfa = SuccinctNFA(states, transitions, "s0", "se", labels, levels)
     layout.check_size(nfa.size())
-    return PartitionNFA(nfa, k)
+    return PartitionNFA(nfa)

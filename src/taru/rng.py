@@ -111,9 +111,6 @@ class Rand:
             raise ValueError("below() needs a positive bound")
         return min(int(self._r.random() * n), n - 1)
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def bernoulli(self, p: float) -> bool:
         return self._r.random() < p
 

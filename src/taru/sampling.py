@@ -12,7 +12,7 @@ exactly uniform, because the product of branch probabilities cancels.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .config import RunStats
 from .rng import Stream, cumulative
@@ -104,36 +104,32 @@ class ChoiceNode:
 
 
 def sample_tree(
-    level: int,
+    root: ChoiceNode,
     leaf_symbols,
     node_symbols,
     live: Callable[[Tree], bool],
     estimator: Callable[[Tree], float],
     slice_estimate: float,
     stream: Stream,
-    stats: Optional[RunStats] = None,
-    expansions: Optional[dict] = None,
+    stats: RunStats,
 ):
-    """One draw from the size-`level` trees of the language behind
-    `estimator`, grown with the symbols `immediate_extensions` takes;
-    returns a complete Tree, FAIL, or EMPTY.  A clamped acceptance
-    probability bumps `stats.clamped_accepts`.
+    """One draw from the trees of the language behind `estimator` that
+    complete `root`'s partial tree (a single hole, for a whole slice),
+    grown with the symbols `immediate_extensions` takes; returns a complete
+    Tree, FAIL, or EMPTY.  A clamped acceptance probability bumps
+    `stats.clamped_accepts`.
 
     `live(c)` must hold exactly when `estimator(c) > 0`.  Candidates it
     rejects are dropped: `weighted_index` never picks a weight of zero and
     it adds nothing to the total, so `Rand.pick` picks what it would.  The
-    estimator is asked only where two or more candidates are live.
-    `expansions`, when given, keeps the choice tree grown from each root
-    size across draws, so it must only be shared between draws with the same
-    estimator."""
+    estimator is asked only where two or more candidates are live, and once
+    per candidate: the choice tree under `root` keeps every weight across
+    draws, so it must only be shared between draws with the same live test
+    and estimator."""
     if slice_estimate <= 0.0:
         return EMPTY
     rand = stream.rand()
-    node = None if expansions is None else expansions.get(level)
-    if node is None:
-        node = ChoiceNode(hole(level))
-        if expansions is not None:
-            expansions[level] = node
+    node = root
     phi = 1.0
     while not node.tree.is_complete():
         if node.cum is None:
@@ -146,8 +142,7 @@ def sample_tree(
     accept = 1.0 / (2.0 * phi * slice_estimate)
     if accept > 1.0:
         accept = 1.0
-        if stats is not None:
-            stats.clamped_accepts += 1
+        stats.clamped_accepts += 1
     if rand.bernoulli(accept):
         return node.tree
     return FAIL

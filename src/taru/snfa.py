@@ -246,17 +246,16 @@ class NfaCounter:
 
     After run() the counter retains the per-state estimates and word sketches,
     so near-uniform word samples can be drawn from any state.  Its failures
-    are counted in `stats`, the caller's RunStats or a fresh one.
+    are counted in the caller's `stats`.
     """
 
-    def __init__(self, nfa: SuccinctNFA, params: NfaParams, stream: Stream,
-                 stats: Optional[RunStats] = None):
+    def __init__(self, nfa: SuccinctNFA, params: NfaParams, stream: Stream, stats: RunStats):
         if nfa.levels is None:
             raise NfaError("counting needs a leveled NFA")
         self.nfa = nfa
         self.params = params
         self.stream = stream
-        self.stats = RunStats() if stats is None else stats
+        self.stats = stats
         self._topo_index = {s: i for i, s in enumerate(nfa.states)}
         self._in: dict[str, list[tuple[int, NfaTransition]]] = {s: [] for s in nfa.states}
         for idx, t in enumerate(nfa.transitions):

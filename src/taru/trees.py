@@ -122,27 +122,6 @@ class Tree:
             self._text = serialize_tree(self)
         return self._text
 
-    def to_json(self):
-        """The JSON object form tree_from_json reads.  Iterative, so any
-        depth works."""
-        root = _json_shell(self)
-        stack = [(self, root)]
-        while stack:
-            t, obj = stack.pop()
-            for c in t.children:
-                child = _json_shell(c)
-                obj["children"].append(child)
-                stack.append((c, child))
-        return root
-
-
-def _json_shell(t: Tree) -> dict:
-    """t's JSON object without its children's: {"hole": size}, or its
-    label and an empty children list to fill."""
-    if t.is_hole():
-        return {"hole": t.label}
-    return {"label": t.label, "children": []}
-
 
 def _equal_deep(a: Tree, b: Tree) -> bool:
     """a == b node by node with an explicit stack, so any depth works."""
@@ -166,10 +145,6 @@ def hole(size: int) -> Tree:
     if size < 1:
         raise ValueError("hole size must be at least 1")
     return Tree(size, ())
-
-
-def binary(label, left: Tree, right: Tree) -> Tree:
-    return Tree(label, (left, right))
 
 
 _PLAIN = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_@#&.*+-")

@@ -21,7 +21,6 @@ class UnrolledAutomaton:
             raise ValueError("level count must be at least 1")
         self.base = base
         self.n = n
-        self.initial = (base.initial, n)
 
     def leaf_count(self, state: str) -> int:
         """Exact number of size-1 trees derivable from the state."""

@@ -3,6 +3,7 @@ by the test modules."""
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import product
 
@@ -10,7 +11,7 @@ from typing import Iterator, Optional
 
 from taru.automata import Transition, TreeAutomaton
 from taru.cq import Atom, ConjunctiveQuery, Database, QueryError, ReductionResult, Var
-from taru.applications import DnnfCircuit, Ecsp, Gate, NestedWordAutomaton
+from taru.applications import DnnfCircuit, Ecsp, Gate, NestedWord, NestedWordAutomaton, _units
 from taru.oracles import brute_slice
 from taru.partition import AMP, PartitionNFA, main_path
 from taru.sampling import immediate_extensions, min_hole
@@ -377,7 +378,7 @@ def reference_partition_nfa(unrolled: UnrolledAutomaton, t: Tree, state: str,
         if t.size == size and state in base.derive_states(t):
             transitions.append(NfaTransition("s0", "&", "se"))
         nfa = SuccinctNFA(["s0", "se"], transitions, "s0", "se", labels, {"s0": 0, "se": 1})
-        return PartitionNFA(prune_to_paths(nfa), 0)
+        return PartitionNFA(prune_to_paths(nfa))
     path = main_path(t)
     k = path.k
     up_memo: dict = {}
@@ -428,7 +429,7 @@ def reference_partition_nfa(unrolled: UnrolledAutomaton, t: Tree, state: str,
                     f"{tr.src}@{k}", label_key(tr.children[hole_step - 1], last_size), "se"
                 ))
     nfa = SuccinctNFA(states, transitions, "s0", "se", labels, levels)
-    return PartitionNFA(prune_to_paths(nfa), k)
+    return PartitionNFA(prune_to_paths(nfa))
 
 
 def cq_to_ecsp(query: ConjunctiveQuery, db: Database) -> Ecsp:
@@ -454,3 +455,60 @@ def frontier_rhos(counter: NfaCounter) -> list:
     """The rejection-rate estimates of a counter's ambiguous frontiers (more
     than one live transition), in the order the frontiers were first met."""
     return [info.rho for info in counter._frontier_memo.values() if len(info.trans) > 1]
+
+
+# -- writers for the readers' formats ------------------------------------------
+
+
+def tree_to_json(t: Tree) -> dict:
+    """The JSON object form tree_from_json reads.  Iterative, so any depth
+    works."""
+    def shell(t: Tree) -> dict:
+        if t.is_hole():
+            return {"hole": t.label}
+        return {"label": t.label, "children": []}
+
+    root = shell(t)
+    stack = [(t, root)]
+    while stack:
+        t, obj = stack.pop()
+        for c in t.children:
+            child = shell(c)
+            obj["children"].append(child)
+            stack.append((c, child))
+    return root
+
+
+def automaton_to_json(a: TreeAutomaton) -> str:
+    """The JSON text automaton_from_json reads."""
+    obj = {
+        "arity": a.arity,
+        "alphabet": sorted(a.alphabet),
+        "states": sorted(a.states),
+        "initial": a.initial,
+        "transitions": [
+            {"from": t.src, "symbol": t.symbol, "children": list(t.children)}
+            for t in a.transitions
+        ],
+    }
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def encode_nested_word(word: NestedWord) -> Tree:
+    """The tree nwa_to_bta's automaton accepts for a nested word: a cons
+    spine of units ended by '#', where an internal position is a letter leaf
+    and a call/return pair is a node '<a|b>' holding the encoded inner
+    segment and a '#' pad.  Length n maps to size 2n+1."""
+    def enc_seq(units) -> Tree:
+        if not units:
+            return leaf("#")
+        head, rest = units[0], units[1:]
+        return Tree(".", (enc_unit(head), enc_seq(rest)))
+
+    def enc_unit(u) -> Tree:
+        if isinstance(u, str):
+            return leaf(u)
+        a, inner, b = u
+        return Tree(f"<{a}|{b}>", (enc_seq(inner), leaf("#")))
+
+    return enc_seq(_units(word))

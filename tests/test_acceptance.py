@@ -18,7 +18,7 @@ from taru.oracles import (
     brute_nfa_count,
     brute_slice,
 )
-from taru.partition import build_partition_nfa
+from taru.partition import build_partition_nfa, partition_layout
 from taru.snfa import count_succinct_nfa, sample_word
 from taru.rng import Stream
 from taru.trees import Tree
@@ -86,8 +86,9 @@ def test_criterion_02_completion_nfa_exactness(catalan, fig3, mixed):
         if t.is_complete():
             continue
         unrolled = UnrolledAutomaton(automaton, size)
-        built = build_partition_nfa(unrolled, t, state, exact_label_factory(automaton))
-        got = brute_nfa_count(built.nfa, built.word_length, budget=None)
+        built = build_partition_nfa(partition_layout(unrolled, t, state),
+                                    exact_label_factory(automaton))
+        got = brute_nfa_count(built.nfa, built.nfa.word_length(), budget=None)
         want = len(brute_completions(automaton, t, state, size, budget=None))
         assert got == want, f"{t.text()} from {state}@{size}: {got} != {want}"
         cases += 1

@@ -17,7 +17,6 @@ from taru.applications import (
     count_nwa,
     dnnf_to_ta,
     ecsp_to_cq,
-    encode_nested_word,
     enumerate_nested_words,
     infer_witness,
     nwa_accepts,
@@ -30,7 +29,7 @@ from taru.cq import brute_cq_count
 from taru.oracles import brute_slice
 from taru.trees import Tree, leaf
 
-from genutil import cq_to_ecsp, random_nwa, random_structured_circuit
+from genutil import cq_to_ecsp, encode_nested_word, random_nwa, random_structured_circuit
 
 
 # -- existential CSPs ----------------------------------------------------------

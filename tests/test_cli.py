@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -463,3 +464,76 @@ def test_cq_count_path4_over_thirty_vertices(files, capsys):
     assert len(joined) == 741
     assert result["estimate"] == 752.620361328125
     assert abs(result["estimate"] - 741) <= result["epsilon"] * 741
+
+
+def _wrong_typed(text, **changes):
+    """The JSON document `text` with its top-level fields replaced."""
+    return json.dumps(dict(json.loads(text), **changes))
+
+
+@pytest.mark.parametrize("command, flag, bad", [
+    pytest.param("count", "--automaton", "5", id="automaton"),
+    pytest.param("count", "--automaton", _wrong_typed(CATALAN, transitions=[5]),
+                 id="automaton-transition"),
+    pytest.param("count", "--automaton", _wrong_typed(CATALAN, transitions=[
+        {"from": "r", "symbol": "a", "children": 5}]), id="automaton-children"),
+    pytest.param("count", "--automaton", _wrong_typed(CATALAN, arity="2"),
+                 id="automaton-arity"),
+    pytest.param("nfa-count", "--nfa", "5", id="nfa"),
+    pytest.param("nfa-count", "--nfa", _wrong_typed(NFA, transitions=["x0"]),
+                 id="nfa-transition"),
+    pytest.param("ecsp-count", "--ecsp", "[]", id="ecsp"),
+    pytest.param("ecsp-count", "--ecsp", _wrong_typed(ECSP, constraints=[5]),
+                 id="ecsp-constraint"),
+    pytest.param("ecsp-count", "--ecsp", _wrong_typed(ECSP, constraints=[
+        {"scope": ["x"], "tuples": ["0"]}]), id="ecsp-tuple"),
+    pytest.param("dnnf-count", "--circuit", "5", id="circuit"),
+    pytest.param("dnnf-count", "--circuit", _wrong_typed(CIRCUIT, gates=[5]),
+                 id="circuit-gate"),
+    pytest.param("dnnf-count", "--vtree", "5", id="vtree"),
+    pytest.param("nwa-count", "--nwa", "5", id="nwa"),
+    pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, internal=[5]), id="nwa-row"),
+    pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, initial="q0"), id="nwa-initial"),
+    pytest.param("cq-count", "--decomposition", "[5]", id="decomposition"),
+])
+def test_wrong_typed_json_is_invalid_input(files, capsys, command, flag, bad):
+    """A JSON file whose document or entries have the wrong type, read by
+    any of the JSON readers, exits 2 with an input error."""
+    inputs = {
+        "count": {"--automaton": CATALAN},
+        "nfa-count": {"--nfa": NFA},
+        "ecsp-count": {"--ecsp": ECSP},
+        "dnnf-count": {"--circuit": CIRCUIT, "--vtree": VTREE},
+        "nwa-count": {"--nwa": NWA},
+        "cq-count": {"--query": QUERY, "--database": FACTS},
+    }[command]
+    argv = [command]
+    for name, text in dict(inputs, **{flag: bad}).items():
+        argv += [name, files(name.strip("-") + ".in", text)]
+    argv += {"count": ["--n", "3"], "nfa-count": ["--k", "2"], "nwa-count": ["--n", "3"]}.get(
+        command, [])
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_exact_dp_count_at_any_size(files, capsys):
+    """The exact DP fills its table size by size: n = 2001 on catalan gives
+    Catalan(1000)."""
+    aut = files("cat.json", CATALAN)
+    code, out, _ = _run(capsys, ["count", "--automaton", aut, "--n", "2001", "--mode", "exact-dp"])
+    assert code == 0
+    assert _json_out(out)["count"] == math.comb(2000, 1000) // 1001
+
+
+def test_partition_count_of_a_deep_partial_tree(files, capsys):
+    """A partial tree 600 levels deep with one hole at the bottom has exactly
+    one completion; the run check takes no recursion per level."""
+    aut = files("cat.json", CATALAN)
+    deep = files("deep.txt", "a(a," * 600 + "1" + ")" * 600)
+    code, out, err = _run(capsys, ["partition-count", "--automaton", aut, "--partial-tree",
+                                   "@" + deep, "--state", "r", "--level", "1201"])
+    assert code == 0, err
+    assert _json_out(out)["estimate"] == 1.0

@@ -456,34 +456,41 @@ def test_sketch_fills_made_by_draws_do_not_nest_deeper_with_n(monkeypatch):
     assert depths[1] <= depths[0]
 
 
-def _counting_sample_tree(level, leaf_symbols, node_symbols, live, estimator,
-                          slice_estimate, stream, stats, expansions):
-    """sample_tree's walk with every candidate counted: the weight of a
-    candidate is estimate_partition's (the count of a live one, else 0.0),
-    and zero weights stay in for weighted_index to pass over.  Each partial
-    tree's candidates and weights are kept in `expansions` across draws."""
-    if slice_estimate <= 0.0:
-        return EMPTY
-    rand = stream.rand()
-    t = hole(level)
-    phi = 1.0
-    while not t.is_complete():
-        hit = expansions.get(t)
-        if hit is None:
-            options = immediate_extensions(t, min_hole(t), leaf_symbols, node_symbols)
-            weights = [estimator(c) if live(c) else 0.0 for c in options]
-            hit = expansions[t] = (options, weights)
-        options, weights = hit
-        if sum(weights) <= 0.0:
-            return FAIL
-        k = rand.weighted_index(weights)
-        phi *= weights[k] / sum(weights)
-        t = options[k]
-    accept = 1.0 / (2.0 * phi * slice_estimate)
-    if accept > 1.0:
-        accept = 1.0
-        stats.clamped_accepts += 1
-    return t if rand.bernoulli(accept) else FAIL
+def _counting_walk():
+    """A stand-in for sample_tree whose walk counts every candidate: the
+    weight of a candidate is estimate_partition's (the count of a live one,
+    else 0.0), and zero weights stay in for weighted_index to pass over.
+    Each partial tree's candidates and weights are kept per choice-tree root
+    across draws, and the engine's choice tree is left ungrown."""
+    expansions = {}
+
+    def walk(root, leaf_symbols, node_symbols, live, estimator, slice_estimate, stream,
+             stats):
+        if slice_estimate <= 0.0:
+            return EMPTY
+        rand = stream.rand()
+        memo = expansions.setdefault(root, {})
+        t = root.tree
+        phi = 1.0
+        while not t.is_complete():
+            hit = memo.get(t)
+            if hit is None:
+                options = immediate_extensions(t, min_hole(t), leaf_symbols, node_symbols)
+                weights = [estimator(c) if live(c) else 0.0 for c in options]
+                hit = memo[t] = (options, weights)
+            options, weights = hit
+            if sum(weights) <= 0.0:
+                return FAIL
+            k = rand.weighted_index(weights)
+            phi *= weights[k] / sum(weights)
+            t = options[k]
+        accept = 1.0 / (2.0 * phi * slice_estimate)
+        if accept > 1.0:
+            accept = 1.0
+            stats.clamped_accepts += 1
+        return t if rand.bernoulli(accept) else FAIL
+
+    return walk
 
 
 def test_uncounted_lone_candidates_change_no_draw(monkeypatch, fig3, mixed, q1_d1):
@@ -500,7 +507,7 @@ def test_uncounted_lone_candidates_change_no_draw(monkeypatch, fig3, mixed, q1_d
             sampler = make(seed)
             drawn = [sampler.draw() for _ in range(200)]
             with monkeypatch.context() as m:
-                m.setattr(taru.engine, "sample_tree", _counting_sample_tree)
+                m.setattr(taru.engine, "sample_tree", _counting_walk())
                 counting = make(seed)
                 assert [counting.draw() for _ in range(200)] == drawn
 
@@ -530,27 +537,38 @@ def test_cq_sampling_builds_no_empty_partition_nfa(monkeypatch):
 
 def test_pruned_partial_trees_have_zero_nfa_estimates(monkeypatch, fig3):
     """Every partial tree the run check prunes also gets exactly 0.0 from
-    its completion-counting NFA."""
+    its completion-counting NFA, from every state the check rules out."""
     pruned = set()
-    check = taru.engine.extended_run_exists
+    check = taru.engine.up_states
 
-    def recording(unrolled, t, state, hole_filter):
-        ok = check(unrolled, t, state, hole_filter)
-        if not ok:
-            pruned.add((t, state))
-        return ok
+    def recording(unrolled, t, hole_filter):
+        states = check(unrolled, t, hole_filter)
+        pruned.update((t, s) for s in fig3.states - states)
+        return states
 
-    monkeypatch.setattr(taru.engine, "extended_run_exists", recording)
+    monkeypatch.setattr(taru.engine, "up_states", recording)
     sampler = fpaus(fig3, 11, Config(seed=1))
     for _ in range(50):
         sampler.draw()
+    assert sampler.handle.stats.pruned_by_run_check > 0
     assert pruned
 
-    monkeypatch.setattr(taru.engine, "extended_run_exists", lambda *args: True)
+    monkeypatch.setattr(taru.engine, "up_states", lambda unrolled, t, hole_filter: fig3.states)
     unpruned = Engine(fig3, 11, Config(seed=1))
     unpruned.build()
     for t, state in pruned:
         assert unpruned.estimate_partition(t, state, t.full_size) == 0.0
+
+
+def test_deep_partial_tree_counts_without_recursion(catalan):
+    """A partial tree 600 levels deep with one hole at the bottom has exactly
+    one completion at level 1201: the run check and the completion layout
+    take no recursion per level."""
+    t = parse_tree("a(a," * 600 + "1" + ")" * 600)
+    engine = Engine(catalan, 1201, Config(seed=1))
+    engine.build()
+    assert engine.completable(t, "r", 1201)
+    assert engine.estimate_partition(t, "r", 1201) == 1.0
 
 
 def test_every_draw_of_a_non_member_raises(fig3, fig3_t1):

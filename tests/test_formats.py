@@ -5,13 +5,14 @@ import pytest
 from taru.formats import (
     FormatError,
     automaton_from_json,
-    automaton_to_json,
     database_from_text,
     decomposition_from_json,
     nfa_from_json,
     queries_from_text,
     vtree_from_json,
 )
+
+from genutil import automaton_to_json
 
 
 def test_automaton_round_trip(fig3):

@@ -14,7 +14,6 @@ from taru.partition import (
     HoleFilter,
     MainPathError,
     build_partition_nfa,
-    extended_run_exists,
     main_path,
     partition_layout,
     up_states,
@@ -146,17 +145,22 @@ def test_random_partial_trees_have_main_paths(catalan):
 # -- extended runs ------------------------------------------------------------
 
 
+def _any_state(automaton) -> HoleFilter:
+    """Holes match every state."""
+    return HoleFilter(automaton.states, lambda s, h: True)
+
+
 def test_extended_run_single_hole(catalan):
     u = UnrolledAutomaton(catalan, 7)
-    assert extended_run_exists(u, hole(7), "r")
+    assert "r" in up_states(u, hole(7), _any_state(catalan))
 
 
 def test_extended_run_complete_matches_accepts(fig3):
     u = UnrolledAutomaton(fig3, 7)
     t = parse_tree("a(a(a,a),a(a,a))")
-    assert extended_run_exists(u, t, "s") == fig3.accepts(t)
+    assert ("s" in up_states(u, t, _any_state(fig3))) == fig3.accepts(t)
     t_bad = parse_tree("a(a(a,a),a)")
-    assert extended_run_exists(u, t_bad, "s") == fig3.accepts(t_bad)
+    assert ("s" in up_states(u, t_bad, _any_state(fig3))) == fig3.accepts(t_bad)
 
 
 def test_extended_run_with_nonempty_filter_matches_completions(fig3):
@@ -166,7 +170,7 @@ def test_extended_run_with_nonempty_filter_matches_completions(fig3):
     live = HoleFilter(fig3.states, lambda s, h: alive[(s, h)])  # one memo for all trees
     for _ in range(120):
         t = random_partial_tree(rng, {"a"}, 9, rng.randint(0, 4))
-        has = extended_run_exists(u, t, "s", live)
+        has = "s" in up_states(u, t, live)
         completions = brute_completions(fig3, t, "s", 9, budget=None)
         assert has == (len(completions) > 0)
 
@@ -176,8 +180,8 @@ def test_extended_run_with_nonempty_filter_matches_completions(fig3):
 
 def _check_exact(automaton, t, state, size):
     u = UnrolledAutomaton(automaton, size)
-    built = build_partition_nfa(u, t, state, exact_label_factory(automaton))
-    got = brute_nfa_count(built.nfa, built.word_length, budget=None)
+    built = build_partition_nfa(partition_layout(u, t, state), exact_label_factory(automaton))
+    got = brute_nfa_count(built.nfa, built.nfa.word_length(), budget=None)
     want = len(brute_completions(automaton, t, state, size, budget=None))
     assert got == want, f"{t.text()} from {state}@{size}: nfa {got} != brute {want}"
     return got
@@ -241,7 +245,7 @@ def test_partition_nfa_size_bound(fig3):
         t = random_partial_tree(rng, {"a"}, 9, rng.randint(1, 4))
         if t.is_complete():
             continue
-        built = build_partition_nfa(u, t, "s", exact_label_factory(fig3))
+        built = build_partition_nfa(partition_layout(u, t, "s"), exact_label_factory(fig3))
         assert built.nfa.size() <= bound
 
 
@@ -256,7 +260,7 @@ class KeyLabel(LabelOracle):
 
 
 def _assert_same_nfa(got, want):
-    assert got.hole_count == want.hole_count
+    assert got.nfa.word_length() == want.nfa.word_length()
     assert got.nfa.states == want.nfa.states
     assert got.nfa.transitions == want.nfa.transitions
     assert sorted(got.nfa.labels) == sorted(want.nfa.labels)
@@ -281,11 +285,11 @@ def _candidate_walks(fig3, catalan, mixed, q1_d1, rescale=False):
         engine = Engine(automaton, n, Config(seed=1))
         engine.build()
         if rescale:
-            # The build's draws memoized completion counts of the old table.
+            # The build's draws left completion counts of the old table in
+            # the choice trees.
             for (s, level) in engine.est_table:
                 engine.est_table[s, level] *= (level + 3) / (level + 2)
-            engine._ep_memo.clear()
-            engine._expansions.clear()
+            engine._roots.clear()
         alphabet = sorted(automaton.alphabet)
         states = sorted(automaton.states)
         for _ in range(10):
@@ -320,11 +324,11 @@ def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan
         assert ([c for c in filtered if weights[c] > 0.0]
                 == [c for c in full if weights[c] > 0.0])
         for c in full:
-            got = build_partition_nfa(engine.unrolled, c, state, KeyLabel)
+            layout = partition_layout(engine.unrolled, c, state)
+            got = build_partition_nfa(layout, KeyLabel)
             _assert_same_nfa(
                 got, reference_partition_nfa(engine.unrolled, c, state, KeyLabel)
             )
-            layout = partition_layout(engine.unrolled, c, state)
             assert layout.nfa_size(lambda s, h: KeyLabel(s, h).size_bound_bits()) \
                 == got.nfa.size()
             built += 1
@@ -341,7 +345,8 @@ def test_forward_builder_and_live_candidates_match_the_full_layout(fig3, catalan
     )
     t = parse_tree("a(7,a(a,a(1,1)))")
     for state in ("x", "y"):
-        got = build_partition_nfa(UnrolledAutomaton(fan, 13), t, state, KeyLabel)
+        got = build_partition_nfa(partition_layout(UnrolledAutomaton(fan, 13), t, state),
+                                  KeyLabel)
         want = reference_partition_nfa(UnrolledAutomaton(fan, 13), t, state, KeyLabel)
         _assert_same_nfa(got, want)
         fanned = {(tr.src, tr.label) for tr in want.nfa.transitions}
@@ -356,8 +361,6 @@ def test_completable_is_a_positive_completion_count(fig3, catalan, mixed, q1_d1)
     for engine, state, level, full, _, weights in _candidate_walks(
             fig3, catalan, mixed, q1_d1):
         for c in full:
-            # Ask the run check, not the memo of the count just made.
-            engine._ep_memo.pop((state, level, c), None)
             assert engine.completable(c, state, level) == (weights[c] > 0.0)
             live += weights[c] > 0.0
             dead += weights[c] == 0.0
@@ -372,22 +375,22 @@ def test_layout_sweep_is_the_nfa_counter(fig3, catalan, mixed, q1_d1, monkeypatc
     no state has two live incoming transitions (positive source estimate
     and label size) to exactly the float NfaCounter returns for its NFA, and
     that counter never hashes its stream, so it draws nothing.  Every layout
-    with such a live union goes through build_partition_nfa."""
-    through_nfa = set()
+    with such a live union goes through build_partition_nfa, and no other."""
+    built = []
 
-    def recording(unrolled, t, state, label_factory, layout=None):
-        through_nfa.add((unrolled, state, t))
-        return build_partition_nfa(unrolled, t, state, label_factory, layout)
+    def recording(layout, label_factory):
+        built.append(layout)
+        return build_partition_nfa(layout, label_factory)
 
     monkeypatch.setattr(taru_engine, "build_partition_nfa", recording)
     swept = unions = 0
     walks = _candidate_walks(fig3, catalan, mixed, q1_d1, rescale)
     for engine, state, level, full, _, weights in walks:
         for c in full:
-            if c.is_complete() or not extended_run_exists(
-                    engine.unrolled, c, state, engine._live_holes):
+            if c.is_complete() or state not in up_states(engine.unrolled, c, engine._live_holes):
                 continue
-            nfa = build_partition_nfa(engine.unrolled, c, state, engine._label).nfa
+            nfa = build_partition_nfa(partition_layout(engine.unrolled, c, state),
+                                      engine._label).nfa
             if not nfa.transitions:
                 assert weights[c] == 0.0
                 continue
@@ -400,7 +403,10 @@ def test_layout_sweep_is_the_nfa_counter(fig3, catalan, mixed, q1_d1, monkeypatc
             )
             union = any(m >= 2 for m in live_in.values())
             assert weights[c] == value
-            assert ((engine.unrolled, state, c) in through_nfa) == union
+            # Counting again counts afresh, to the same float.
+            before = len(built)
+            assert engine.estimate_partition(c, state, level) == value
+            assert (len(built) > before) == union
             if union:
                 unions += 1
             else:

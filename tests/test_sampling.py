@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from taru.config import RunStats
 from taru.oracles import brute_completions
 from taru.rng import Rand, Stream
 from taru.sampling import (
     EMPTY,
     FAIL,
+    ChoiceNode,
     SamplingError,
     immediate_extensions,
     min_hole,
@@ -83,8 +85,8 @@ def _positive(estimator):
 
 
 def test_sample_tree_empty():
-    out = sample_tree(3, {"a"}, {"a"}, lambda t: True, lambda t: 1.0, 0.0,
-                      Stream.from_seed(0))
+    out = sample_tree(ChoiceNode(hole(3)), {"a"}, {"a"}, lambda t: True, lambda t: 1.0, 0.0,
+                      Stream.from_seed(0), RunStats())
     assert out == EMPTY
 
 
@@ -104,8 +106,8 @@ def test_sample_tree_unique_language():
 
     seen = set()
     for i in range(40):
-        out = sample_tree(5, {"a"}, {"a"}, _positive(estimator), estimator, 1.0,
-                          Stream.from_seed(i))
+        out = sample_tree(ChoiceNode(hole(5)), {"a"}, {"a"}, _positive(estimator), estimator,
+                          1.0, Stream.from_seed(i), RunStats())
         if isinstance(out, Tree):
             seen.add(out)
     assert seen == {target}
@@ -128,8 +130,8 @@ def _unpruned_sample_tree(level, alphabet, estimator, slice_estimate, stream):
 
 
 def test_sample_tree_expansion_memo_changes_no_draw():
-    """Draws that share an expansion memo equal draws made without one, and
-    dropping zero-weight candidates changes no draw."""
+    """Draws that share a choice tree equal draws that each grow their own,
+    and dropping zero-weight candidates changes no draw."""
 
     def estimator(t):
         return float(t.size)
@@ -139,18 +141,18 @@ def test_sample_tree_expansion_memo_changes_no_draw():
         return 0.0 if t.label == "b" or t.size % 4 == 0 else float(t.size)
 
     for est in (estimator, pruning_estimator):
-        expansions = {}
+        root = ChoiceNode(hole(7))
         for i in range(30):
-            plain = sample_tree(7, {"a", "b"}, {"a", "b"}, _positive(est), est, 50.0,
-                                Stream.from_seed(i))
-            shared = sample_tree(7, {"a", "b"}, {"a", "b"}, _positive(est), est, 50.0,
-                                 Stream.from_seed(i), None, expansions)
+            plain = sample_tree(ChoiceNode(hole(7)), {"a", "b"}, {"a", "b"}, _positive(est),
+                                est, 50.0, Stream.from_seed(i), RunStats())
+            shared = sample_tree(root, {"a", "b"}, {"a", "b"}, _positive(est), est, 50.0,
+                                 Stream.from_seed(i), RunStats())
             assert shared == plain
             assert plain == _unpruned_sample_tree(
                 7, {"a", "b"}, est, 50.0, Stream.from_seed(i)
             )
-        assert expansions
-    expanded, nodes = [], list(expansions.values())
+        assert root.cum is not None
+    expanded, nodes = [], [root]
     while nodes:
         node = nodes.pop()
         if node.cum is not None:
@@ -175,14 +177,14 @@ def test_lone_live_candidates_are_not_counted():
         asked.add(t)
         return float(t.size) if live(t) else 0.0
 
-    expansions = {}
-    drawn = [sample_tree(7, {"a", "b"}, {"a", "b"}, live, estimator, 50.0,
-                         Stream.from_seed(i), None, expansions) for i in range(30)]
+    root = ChoiceNode(hole(7))
+    drawn = [sample_tree(root, {"a", "b"}, {"a", "b"}, live, estimator, 50.0,
+                         Stream.from_seed(i), RunStats()) for i in range(30)]
     counted = set(asked)
     assert drawn == [_unpruned_sample_tree(7, {"a", "b"}, estimator, 50.0, Stream.from_seed(i))
                      for i in range(30)]
     lone = real = 0
-    nodes = list(expansions.values())
+    nodes = [root]
     while nodes:
         node = nodes.pop()
         if node.cum is None:
@@ -209,11 +211,11 @@ def test_sample_tree_pass_count_bookkeeping(monkeypatch):
         return bernoulli(rand, p)
 
     monkeypatch.setattr(Rand, "bernoulli", recorded_bernoulli)
-    expansions = {}
-    out = sample_tree(7, {"a"}, {"a"}, lambda t: True, lambda t: 1.0, 5.0,
-                      Stream.from_seed(3), None, expansions)
+    root = ChoiceNode(hole(7))
+    out = sample_tree(root, {"a"}, {"a"}, lambda t: True, lambda t: 1.0, 5.0,
+                      Stream.from_seed(3), RunStats())
     assert out == FAIL or isinstance(out, Tree)
-    expanded, phi, node = 0, 1.0, expansions[7]
+    expanded, phi, node = 0, 1.0, root
     while node.cum is not None:
         expanded += 1
         (k,) = [k for k, c in enumerate(node.children) if c is not None]

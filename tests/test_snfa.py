@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from taru.config import Config, resolve_nfa_params
+from taru.config import Config, RunStats, resolve_nfa_params
 from taru.oracles import brute_nfa_count
 from taru.rng import Stream
 from taru.sampling import EMPTY, FAIL
@@ -68,7 +68,7 @@ def test_unroll_already_leveled_is_isomorphic():
 def _word_member(u):
     """The counter's own membership check, which needs no run()."""
     params = resolve_nfa_params(Config(), max(1, u.size()), u.word_length())
-    counter = NfaCounter(u, params, Stream.from_seed(0))
+    counter = NfaCounter(u, params, Stream.from_seed(0), RunStats())
     return lambda state, word: counter._word_member(word, state)
 
 
@@ -392,7 +392,7 @@ def test_subset_deviation_bound_with_large_sketches():
     eps = 0.8
     r = leveled.size()
     params = NfaParams(d_trials=64, beta=4000, m_rho=32, walk_cap=2048, epsilon=eps)
-    counter = NfaCounter(leveled, params, Stream.from_seed(7).child("dev"))
+    counter = NfaCounter(leveled, params, Stream.from_seed(7).child("dev"), RunStats())
     counter.run()
     rng = pyrandom.Random(5)
     states = [s for s in leveled.states
