@@ -12,6 +12,7 @@ count exactly; the randomized estimators then run on the target automaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
@@ -155,26 +156,44 @@ class DnnfCircuit:
                     )
 
     def _topological(self) -> list[str]:
+        """Every gate after its inputs: a depth-first post-order, kept on an
+        explicit stack so that circuits of any depth are ordered."""
         order: list[str] = []
-        mark: dict[str, int] = {}
-
-        def visit(gid: str):
-            state = mark.get(gid, 0)
-            if state == 1:
-                raise CircuitError(f"cycle through gate {gid!r}")
-            if state == 2:
-                return
-            mark[gid] = 1
-            for dep in self.gates[gid].inputs:
-                if dep not in self.gates:
-                    raise CircuitError(f"gate {gid!r} uses undeclared input {dep!r}")
-                visit(dep)
-            mark[gid] = 2
-            order.append(gid)
-
-        for gid in self.gates:
-            visit(gid)
+        mark: dict[str, int] = {}  # 1 while on the stack, then 2
+        for root in self.gates:
+            if root in mark:
+                continue
+            mark[root] = 1
+            stack = [(root, iter(self.gates[root].inputs))]
+            while stack:
+                gid, deps = stack[-1]
+                for dep in deps:
+                    if dep not in self.gates:
+                        raise CircuitError(f"gate {gid!r} uses undeclared input {dep!r}")
+                    if mark.get(dep) == 1:
+                        raise CircuitError(f"cycle through gate {dep!r}")
+                    if dep not in mark:
+                        mark[dep] = 1
+                        stack.append((dep, iter(self.gates[dep].inputs)))
+                        break
+                else:
+                    mark[gid] = 2
+                    order.append(gid)
+                    stack.pop()
         return order
+
+    @cached_property
+    def or_closure(self) -> dict[str, frozenset]:
+        """For each gate, the and- and literal gates it reaches through
+        or-gates alone, built once per circuit in topological order."""
+        out: dict[str, frozenset] = {}
+        for gid in self._order:
+            g = self.gates[gid]
+            if g.kind == "or":
+                out[gid] = out[g.inputs[0]] | out[g.inputs[1]]
+            else:
+                out[gid] = frozenset([gid])
+        return out
 
     def variables(self) -> frozenset:
         return frozenset().union(*(self.vars_of[g] for g in self.gates)) if self.gates else frozenset()
@@ -290,13 +309,6 @@ def validate_witness(circuit: DnnfCircuit, vtree: Tree, witness: dict) -> None:
                 raise CircuitError(f"witness node for {gid!r} does not split its inputs")
 
 
-def _or_closure(circuit: DnnfCircuit, gid: str) -> frozenset:
-    g = circuit.gates[gid]
-    if g.kind in ("and", "lit"):
-        return frozenset([gid])
-    return _or_closure(circuit, g.inputs[0]) | _or_closure(circuit, g.inputs[1])
-
-
 def dnnf_to_ta(
     circuit: DnnfCircuit,
     vtree: Tree,
@@ -351,7 +363,7 @@ def dnnf_to_ta(
         elif node.is_leaf():
             transitions.append((me, "1" if g.positive else "0", ()))
         else:
-            options = _or_closure(circuit, g.inputs[0]) | _or_closure(circuit, g.inputs[1])
+            options = circuit.or_closure[g.inputs[0]] | circuit.or_closure[g.inputs[1]]
             left, right = addr + (1,), addr + (2,)
             for g1 in sorted(options):
                 if not is_desc(left, witness[g1]):
@@ -362,7 +374,7 @@ def dnnf_to_ta(
                     transitions.append(
                         (me, "@", (pair_state(left, g1), pair_state(right, g2)))
                     )
-    roots = sorted(_or_closure(circuit, circuit.output))
+    roots = sorted(circuit.or_closure[circuit.output])
     initials = [pair_state((), g) for g in roots]
     automaton = merge_initial_states(states, alphabet, transitions, initials, arity=2)
     return automaton, vtree.size

@@ -9,12 +9,10 @@ only in their constants.
   inputs within its time budget.
 
 * "theory" instantiates the guarantee-carrying formulas verbatim, including
-  the epsilon clamp, and refreshes every tree sketch once per level round.
-  The resulting counts are astronomically large for any nontrivial input.
-  Sketches are filled when first read under both profiles, and the theory
-  profile also fills them one entry at a time, so it is executable exactly on
-  instances whose estimates never demand a sample (every union of derivations
-  is a single product).
+  the epsilon clamp, computed in exact rationals.  The resulting counts are
+  astronomically large for any nontrivial input, so that profile finishes
+  exactly on instances whose estimates never demand a sample (every union of
+  derivations is a single product).
 
 Every randomized run records what it did in one RunStats and reports it
 through certificate().
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass
+from fractions import Fraction
 
 
 # Sampler calls allowed per sketch slot before the fill gives up.
@@ -110,20 +109,9 @@ class EngineParams:
     """Resolved per-run parameters for the slice estimator.
 
     alpha        size of each stored sample set per (state, level)
-    pair_cap     use every sketch pair for overlap fractions when the product
-                 of the two sketch sizes is at most this; otherwise sample
-                 h_trials pairs
-    h_trials     sampled pairs per overlap fraction
-    epsilon      working accuracy target (clamped under the theory profile)
-    refresh_epochs  rebuild every sample set once per level round, and draw
-                 its entries one at a time (theory profile)
     """
 
     alpha: int
-    pair_cap: int
-    h_trials: int
-    epsilon: float
-    refresh_epochs: bool
     nfa: "NfaParams"
 
 
@@ -135,74 +123,52 @@ class NfaParams:
     beta       word sketch size per state
     m_rho      trials for the per-frontier failure-rate estimate
     walk_cap   rejection attempts allowed per emitted symbol
-    epsilon    accuracy target handed to certificates
     """
 
     d_trials: int
     beta: int
     m_rho: int
     walk_cap: int
-    epsilon: float
 
 
-def _ceil(x: float) -> int:
-    return int(math.ceil(x))
-
-
-def _theory_nfa_params(r: int, eps: float, gamma: float, log_n_bound: float) -> NfaParams:
+def _theory_nfa_params(
+    r: int, eps: float | Fraction, gamma: float | Fraction, log_n_bound: float | Fraction
+) -> NfaParams:
     """The succinct-NFA formulas for an NFA of size r whose word sets hold at
-    most 2**log_n_bound words."""
+    most 2**log_n_bound words, in exact rationals."""
+    eps, gamma, log_n_bound = map(Fraction, (eps, gamma, log_n_bound))
     return NfaParams(
-        d_trials=_ceil(gamma * r**5 / eps**2),
-        beta=_ceil(gamma * r**3 / eps**2),
-        m_rho=_ceil(math.log2(max(2.0, log_n_bound / eps)) * gamma * r**10 / eps**2),
-        walk_cap=_ceil(10 * r**4 * math.log2(max(2.0, r * log_n_bound / eps)) * gamma),
-        epsilon=eps,
+        d_trials=math.ceil(gamma * r**5 / eps**2),
+        beta=math.ceil(gamma * r**3 / eps**2),
+        m_rho=math.ceil(Fraction(math.log2(max(2, log_n_bound / eps))) * gamma * r**10 / eps**2),
+        walk_cap=math.ceil(10 * r**4 * Fraction(math.log2(max(2, r * log_n_bound / eps))) * gamma),
     )
 
 
 def resolve_engine_params(config: Config, n: int, m: int) -> EngineParams:
     if config.profile == "practical":
-        eps = config.epsilon
-        alpha = config.c_sketch
-        nfa = NfaParams(
-            d_trials=2 * config.c_trials,
-            beta=max(8, config.c_sketch // 4),
-            m_rho=2 * config.c_rho,
-            walk_cap=64 * config.c_rho,
-            epsilon=min(0.25, 4 * eps),
-        )
         return EngineParams(
-            alpha=alpha,
-            pair_cap=max(alpha * alpha, 4096),
-            h_trials=config.c_trials * _ceil(1.0 / (eps * eps)),
-            epsilon=eps,
-            refresh_epochs=False,
-            nfa=nfa,
+            alpha=config.c_sketch,
+            nfa=NfaParams(
+                d_trials=2 * config.c_trials,
+                beta=max(8, config.c_sketch // 4),
+                m_rho=2 * config.c_rho,
+                walk_cap=64 * config.c_rho,
+            ),
         )
-    # Theory profile: formulas as stated, computed in logs where needed so the
-    # integers stay exact.  gamma folds the per-level union bound allowance.
-    eps = min(config.epsilon, (4.0 * m * n) ** -18)
-    gamma = math.log2(1.0 / config.delta) + 2 * n
-    log2_inv_delta = math.log2(1.0 / config.delta)
-    alpha = _ceil(log2_inv_delta**2 * (n * m) ** 13 / eps**5)
-    # Overlap trials: h = O(log(4m/delta_p) m^2/eps^2) with
-    # log(1/delta_p) = gamma n^20.
-    log_delta_p = gamma * float(n) ** 20
-    h = _ceil((math.log2(4 * m) + log_delta_p) * m * m / (eps * eps))
-    nfa = _theory_nfa_params(
-        3 * (n * m) ** 4,
-        min(1.0, (4.0 * n * m) ** 17 * eps),
-        (n * m) ** 3 * log2_inv_delta,
-        (n * m) ** 2 * math.log2(max(2, n * m)),
-    )
+    # Theory profile: the formulas as stated, in exact rationals, so that the
+    # clamped epsilon and the counts stay exact at any n and m.
+    nm = n * m
+    eps = min(Fraction(config.epsilon), Fraction(1, (4 * nm) ** 18))
+    log2_inv_delta = Fraction(math.log2(1.0 / config.delta))
     return EngineParams(
-        alpha=alpha,
-        pair_cap=0,
-        h_trials=h,
-        epsilon=eps,
-        refresh_epochs=True,
-        nfa=nfa,
+        alpha=math.ceil(log2_inv_delta**2 * nm**13 / eps**5),
+        nfa=_theory_nfa_params(
+            3 * nm**4,
+            min(1, (4 * nm) ** 17 * eps),
+            nm**3 * log2_inv_delta,
+            nm**2 * Fraction(math.log2(max(2, nm))),
+        ),
     )
 
 
@@ -211,11 +177,10 @@ def resolve_nfa_params(config: Config, r: int, k: int) -> NfaParams:
     eps = config.epsilon
     if config.profile == "practical":
         return NfaParams(
-            d_trials=config.c_trials * _ceil(1.0 / (eps * eps)),
+            d_trials=config.c_trials * math.ceil(1.0 / (eps * eps)),
             beta=max(16, config.c_sketch),
-            m_rho=config.c_rho * _ceil(1.0 / (eps * eps)),
+            m_rho=config.c_rho * math.ceil(1.0 / (eps * eps)),
             walk_cap=64 * config.c_rho,
-            epsilon=eps,
         )
     return _theory_nfa_params(
         r,

@@ -6,7 +6,7 @@ channel (root symbol, left size, child-state pair) contributes the product of
 its children's estimates, discounted by the measured fraction of its trees
 not already produced by an earlier channel with the same symbol and split;
 channels with different symbols or splits never overlap, so only true
-ambiguity is ever sampled.
+ambiguity is ever measured.
 
 Alongside the estimates the engine keeps, per (state, level), a sketch of
 uniform sample trees, filled when first read.  Sketches supply the overlap
@@ -92,29 +92,11 @@ class _SketchLabel(LabelOracle):
     def size_bound_bits(self) -> float:
         return self._bits
 
-    def pool(self) -> Optional[list]:
-        if self.engine.params.refresh_epochs:
-            return None
+    def pool(self) -> list:
         return self.engine.sketch(self.state, self.level)
 
     def new_sampler(self, stream: Stream):
-        engine = self.engine
-        state, level = self.state, self.level
-        if engine.params.refresh_epochs:
-            # This epoch's sketch entries, drawn only as they are consumed;
-            # a prefix of an i.i.d. sequence is a without-replacement draw.
-            counter = [0]
-            alpha = engine.params.alpha
-
-            def draw_fresh():
-                idx = counter[0]
-                if idx >= alpha:
-                    raise OracleExhausted(self.key)
-                counter[0] += 1
-                return engine.sketch_entry(state, level, idx)
-
-            return draw_fresh
-        pool = engine.sketch(state, level)
+        pool = self.pool()
         if self._constant is None:
             self._constant = all(t == pool[0] for t in pool)
         if self._constant:
@@ -150,7 +132,7 @@ class Engine:
         self.unrolled = UnrolledAutomaton(automaton, n)
         self.root_stream = Stream.from_seed(config.seed).child("engine")
         self.est_table: dict[tuple[str, int], float] = {}
-        self._sketches: dict[tuple[str, int, int], list[Tree]] = {}
+        self._sketches: dict[tuple[str, int], list[Tree]] = {}
         self._roots: dict[tuple[str, int], ChoiceNode] = {}
         self._leaf_choices = {
             s: sorted(set(symbols)) for s, symbols in automaton.leaf_symbols.items()
@@ -170,7 +152,6 @@ class Engine:
         self._labels: dict[tuple[str, int], _SketchLabel] = {}
         self._proxy = weakref.proxy(self)
         self.stats = RunStats()
-        self.epoch = 0
         self._built = False
 
     # -- table access ------------------------------------------------------
@@ -179,24 +160,21 @@ class Engine:
         return self.est_table.get((state, level), 0.0)
 
     def sketch(self, state: str, level: int) -> list[Tree]:
-        """The full sample set for (state, level) in the current epoch."""
-        return self._filled(state, level, self.params.alpha)
-
-    def sketch_entry(self, state: str, level: int, index: int) -> Tree:
-        """Entry index of the (state, level) sample set, drawing only the
-        entries up to it."""
-        return self._filled(state, level, index + 1)[index]
-
-    def _filled(self, state: str, level: int, size: int) -> list[Tree]:
-        pool = self._sketches.setdefault((state, level, self.epoch), [])
-        while len(pool) < size:
-            pool.append(self._draw_sketch_entry(state, level, len(pool)))
+        """The sample set for (state, level), filled on first read."""
+        pool = self._sketches.get((state, level))
+        if pool is None:
+            pool = self._sketches[(state, level)] = [
+                self.sketch_entry(state, level, position)
+                for position in range(self.params.alpha)
+            ]
         return pool
 
-    def _draw_sketch_entry(self, state: str, level: int, position: int) -> Tree:
+    def sketch_entry(self, state: str, level: int, position: int) -> Tree:
+        """Entry `position` of the (state, level) sample set."""
         for attempt in range(FILL_ATTEMPTS):
+            # The 0 keeps the key layout, and so every seeded draw, of earlier releases.
             stream = self.root_stream.child(
-                "sketch", self.epoch, state, level, position, attempt
+                "sketch", 0, state, level, position, attempt
             )
             t = self.sample(state, level, stream)
             if isinstance(t, Tree):
@@ -223,9 +201,6 @@ class Engine:
         for s in self.base.states:
             self.est_table[(s, 1)] = float(self.unrolled.leaf_count(s))
         for i in range(2, self.n + 1):
-            if self.params.refresh_epochs:
-                self.epoch = i
-                self._roots.clear()
             # Sketches are filled on first read, not here.  The overlaps
             # read them level by level, so a fill mostly finds the lower
             # cells it needs already filled, and nested fills stay a few
@@ -237,7 +212,7 @@ class Engine:
 
     def _estimate_level_state(self, state: str, level: int) -> float:
         total = 0.0
-        for (symbol, left), pairs in self.unrolled.groups(state, level):
+        for (_, left), pairs in self.unrolled.groups(state, level):
             right = level - 1 - left
             live = [
                 (q, r)
@@ -251,46 +226,29 @@ class Engine:
                 if pos == 0:
                     frac = 1.0
                 else:
-                    frac = self._overlap_pairs(state, level, symbol, left, live, pos)
+                    frac = self._overlap_pairs(left, right, live, pos)
                 total += weight * frac
         return total
 
-    def _overlap_pairs(self, state, level, symbol, left, live, pos) -> float:
+    def _overlap_pairs(self, left, right, live, pos) -> float:
         """Fraction of the channel's sketch-pair products not derivable by an
-        earlier channel with the same symbol and split."""
-        right = level - 1 - left
+        earlier channel with the same symbol and split.  Freshness depends on
+        a pair only through its two derivable state sets, and sketches repeat
+        few of them, so every pair is counted."""
         q, r = live[pos]
         earlier = live[:pos]
         derive = self.base.derive_states
         lpool = self.sketch(q, left)
         rpool = self.sketch(r, right)
-
-        def fresh(s1: frozenset, s2: frozenset) -> bool:
-            return not any(q2 in s1 and r2 in s2 for (q2, r2) in earlier)
-
-        if len(lpool) * len(rpool) <= self.params.pair_cap:
-            # Freshness depends on the pair only through the two derivable
-            # state sets, and pools repeat few of them.
-            lsets = Counter(derive(t) for t in lpool)
-            rsets = Counter(derive(t) for t in rpool)
-            good = sum(
-                m1 * m2
-                for s1, m1 in lsets.items()
-                for s2, m2 in rsets.items()
-                if fresh(s1, s2)
-            )
-            return good / (len(lpool) * len(rpool))
-        rand = self.root_stream.child(
-            "overlap", self.epoch, state, level, symbol, left, pos
-        ).rand()
-        good = 0
-        trials = self.params.h_trials
-        for _ in range(trials):
-            t1 = lpool[rand.below(len(lpool))]
-            t2 = rpool[rand.below(len(rpool))]
-            if fresh(derive(t1), derive(t2)):
-                good += 1
-        return good / trials
+        lsets = Counter(derive(t) for t in lpool)
+        rsets = Counter(derive(t) for t in rpool)
+        good = sum(
+            m1 * m2
+            for s1, m1 in lsets.items()
+            for s2, m2 in rsets.items()
+            if not any(q2 in s1 and r2 in s2 for (q2, r2) in earlier)
+        )
+        return good / (len(lpool) * len(rpool))
 
     # -- completion estimates ------------------------------------------------
 
@@ -338,7 +296,7 @@ class Engine:
         return NfaCounter(
             build_partition_nfa(layout, self._label).nfa,
             self.params.nfa,
-            self.root_stream.child("part", self.epoch, state, level, t),
+            self.root_stream.child("part", 0, state, level, t),  # 0: see sketch_entry
             self.stats,
         ).run()
 
@@ -472,8 +430,6 @@ class LanguageSampler:
                         raise AssertionError("sampler emitted a non-member tree")
                     self._passed[t] = out
                 return out
-            if t == EMPTY:
-                return EMPTY
         return FAIL
 
 
@@ -507,8 +463,6 @@ class FpausSampler:
             t = self.handle.draw()
             if isinstance(t, Tree):
                 return t
-            if t == EMPTY:
-                return BOT
         return BOT
 
 

@@ -51,7 +51,10 @@ _SCALARS = (str, int, float, bool, type(None))
 def _load_object(text: str, what: str, shape: dict) -> dict:
     """The JSON object in text, checked against `shape` (see _check_shape),
     so that the reader below it meets only the types it indexes into."""
-    obj = _load_json(text, what)
+    return _checked_object(_load_json(text, what), what, shape)
+
+
+def _checked_object(obj, what: str, shape: dict) -> dict:
     if not isinstance(obj, dict):
         raise FormatError(f"{what}: expected a JSON object")
     _check_shape(obj, shape, what)
@@ -261,8 +264,8 @@ def database_from_text(text: str) -> Database:
     return Database(relations)
 
 
-def decomposition_from_json(text: str) -> HypertreeDecomposition:
-    obj = _load_object(text, "decomposition", {
+def _decomposition(obj) -> HypertreeDecomposition:
+    obj = _checked_object(obj, "decomposition", {
         "nodes": {"chi": None, "xi": None, "children": None}})
     nodes = []
     for i, node in enumerate(_required(obj, "nodes", "decomposition")):
@@ -287,14 +290,8 @@ def decompositions_from_json(text: str) -> list[Optional[HypertreeDecomposition]
     entries mean 'derive a join tree')."""
     obj = _load_json(text, "decomposition")
     if isinstance(obj, list):
-        out = []
-        for entry in obj:
-            if entry is None:
-                out.append(None)
-            else:
-                out.append(decomposition_from_json(json.dumps(entry)))
-        return out
-    return [decomposition_from_json(text)]
+        return [None if entry is None else _decomposition(entry) for entry in obj]
+    return [_decomposition(obj)]
 
 
 # -- ECSP, circuits, nested word automata -------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .automata import TreeAutomaton, Transition
-from .snfa import SuccinctNFA, NfaError
+from .snfa import NfaError, SuccinctNFA, leveled_at
 from .trees import Tree, count_shapes, leaf
 
 DEFAULT_BUDGET = 10_000_000
@@ -171,14 +171,7 @@ def brute_nfa_count(nfa: SuccinctNFA, k: int, budget: int | None = DEFAULT_BUDGE
     Every label must expose its full contents; the sum over paths of label
     size products must fit in the budget.
     """
-    from .snfa import unroll_nfa, prune_to_paths
-
-    if nfa.is_leveled():
-        if nfa.word_length() != k:
-            raise NfaError(f"leveled NFA has word length {nfa.word_length()}, asked {k}")
-        leveled = prune_to_paths(nfa)
-    else:
-        leveled = unroll_nfa(nfa, k)
+    leveled = leveled_at(nfa, k)
     if not leveled.transitions:
         return 0
     contents: dict[str, list] = {}

@@ -231,6 +231,17 @@ def prune_to_paths(nfa: SuccinctNFA) -> SuccinctNFA:
     return SuccinctNFA(states, transitions, nfa.initial, nfa.final, labels, levels)
 
 
+def leveled_at(nfa: SuccinctNFA, k: int) -> SuccinctNFA:
+    """A leveled NFA of the input's length-k words: a leveled input must
+    have word length k and is pruned to its accepting paths; any other
+    input is unrolled."""
+    if not nfa.is_leveled():
+        return unroll_nfa(nfa, k)
+    if nfa.word_length() != k:
+        raise NfaError(f"leveled NFA has word length {nfa.word_length()}, asked for {k}")
+    return prune_to_paths(nfa)
+
+
 class _Frontier:
     __slots__ = ("trans", "total", "cum", "rho")
 
@@ -595,14 +606,7 @@ class NfaCountResult:
 
 def count_succinct_nfa(nfa: SuccinctNFA, k: int, config: Config) -> NfaCountResult:
     """Estimate the number of length-k words, retaining the sketch table."""
-    if nfa.is_leveled():
-        if nfa.word_length() != k:
-            raise NfaError(
-                f"leveled NFA has word length {nfa.word_length()}, asked for {k}"
-            )
-        leveled = prune_to_paths(nfa)
-    else:
-        leveled = unroll_nfa(nfa, k)
+    leveled = leveled_at(nfa, k)
     stats = RunStats()
     if not leveled.transitions:
         return NfaCountResult(

@@ -57,6 +57,22 @@ def test_count_exact_dp(files, capsys):
     assert _json_out(out)["count"] == 42
 
 
+@pytest.mark.parametrize("n", [61, 401])
+def test_theory_profile_count_past_the_float_range(files, capsys, n):
+    """The theory constants are exact rationals, so a union-free slice whose
+    float constants would overflow (n = 61) or underflow to zero (n = 401)
+    counts as under the practical profile."""
+    aut = files("cat.json", CATALAN)
+    argv = ["count", "--automaton", aut, "--n", str(n)]
+    code, out, _ = _run(capsys, argv + ["--profile", "theory"])
+    assert code == 0
+    theory = _json_out(out)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert theory["profile"] == "theory"
+    assert theory["estimate"] == _json_out(out)["estimate"]
+
+
 def test_count_fpras_even_is_zero(files, capsys):
     aut = files("cat.json", CATALAN)
     code, out, _ = _run(capsys, ["count", "--automaton", aut, "--n", "8"])
@@ -181,6 +197,22 @@ def test_ucq_count(files, capsys):
     assert abs(_json_out(out)["estimate"] - 5.0) <= 1.0
 
 
+@pytest.mark.parametrize("entries", ["[null]", "[null, null, null]"])
+def test_ucq_decomposition_file_needs_one_entry_per_disjunct(files, capsys, entries):
+    """A decomposition list of the wrong length is invalid input (exit 2),
+    as for cq-count."""
+    q = files("u.txt", "Q(x) :- A(x).\nQ(x) :- B(x).\n")
+    d = files("ud.txt", "A(1).\nA(2).\nB(3).\nB(4).\nB(5).\n")
+    hd = files("hd.json", entries)
+    argv = ["ucq-count", "--query", q, "--database", d, "--decomposition", hd]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ")
+    assert "decompositions given for 2 disjuncts" in err
+    code, out, _ = _run(capsys, argv[:-1] + [files("hd2.json", "[null, null]")])
+    assert code == 0 and _json_out(out)["estimate"] == 5.0
+
+
 def test_oracle_cq(files, capsys):
     q = files("q.txt", QUERY)
     d = files("d.txt", FACTS)
@@ -261,6 +293,30 @@ def test_dnnf_count_cli(files, capsys):
     code, out, _ = _run(capsys, ["dnnf-count", "--circuit", circuit, "--vtree", vtree])
     assert code == 0
     assert abs(_json_out(out)["estimate"] - 4.0) <= 1.0
+    code, out, _ = _run(capsys, ["oracle", "--circuit", circuit])
+    assert code == 0 and _json_out(out)["count"] == 4
+
+
+def _or_chain(depth: int) -> str:
+    """CIRCUIT's two models over x, y and z, under `depth` or-gates that
+    each take the gate below twice."""
+    circuit = json.loads(CIRCUIT)
+    for k in range(1, depth + 1):
+        circuit["gates"].append({"id": f"s{k}", "type": "or",
+                                 "inputs": [circuit["output"]] * 2})
+        circuit["output"] = f"s{k}"
+    return json.dumps(circuit)
+
+
+@pytest.mark.parametrize("depth", [40, 3000])
+def test_dnnf_count_of_shared_deep_or_chains(files, capsys, depth):
+    """Each shared or-gate is closed over once, and circuits of any depth
+    are ordered without recursion, so deep chains count their truth table."""
+    circuit = files("c.json", _or_chain(depth))
+    vtree = files("v.json", VTREE)
+    code, out, _ = _run(capsys, ["dnnf-count", "--circuit", circuit, "--vtree", vtree])
+    assert code == 0
+    assert _json_out(out)["estimate"] == 4.0
     code, out, _ = _run(capsys, ["oracle", "--circuit", circuit])
     assert code == 0 and _json_out(out)["count"] == 4
 

@@ -1,6 +1,8 @@
+import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -212,16 +214,18 @@ def test_fpaus_bottom_rate(mixed):
 
 
 def test_theory_profile_epsilon_clamp():
+    """The sketch size is the formula's exact integer under the clamped
+    epsilon (4nm)**-18: ceil(log2(1/delta)**2 (nm)**13 / eps**5)."""
     params = resolve_engine_params(Config(profile="theory"), 3, 3)
-    assert params.epsilon <= (4 * 3 * 3) ** -18
-    assert params.refresh_epochs
-    assert params.alpha > 10**9  # astronomically large, materialized lazily
+    log2_inv_delta = Fraction(math.log2(1 / 0.1))
+    assert params.alpha == math.ceil(log2_inv_delta**2 * 9**13 * 36**90)
+    assert params.alpha > 10**150  # astronomically large, never filled
 
 
 def test_theory_profile_runs_on_union_free_instance():
     """Two states, n=3, one derivation channel: the literal-formula profile
-    never needs a sample, so it completes and is exact, and its draws come
-    from the lazily drawn sketch entries."""
+    never needs a sample, so it completes and is exact, and its draws walk
+    the choice tree without reading a sketch."""
     aut = TreeAutomaton(
         {"s0", "s1"}, {"a"},
         [("s0", "a", ("s1", "s1")), ("s1", "a", ())],
@@ -233,6 +237,7 @@ def test_theory_profile_runs_on_union_free_instance():
     assert res.estimate == float(truth)
     sampler = fpaus(aut, 3, Config(profile="theory", seed=1))
     assert [sampler.draw() for _ in range(3)] == [parse_tree("a(a,a)")] * 3
+    assert not sampler.handle.engine._sketches
 
 
 def test_random_automata_zero_law():
@@ -398,7 +403,7 @@ def _deepest_sketch_fill(monkeypatch, automaton, n) -> int:
     counting the slice."""
     top = sys._getframe()
     depths = [0]
-    draw = Engine._draw_sketch_entry
+    draw = Engine.sketch_entry
 
     def recording(self, *args):
         frame, depth = sys._getframe(), 0
@@ -407,9 +412,9 @@ def _deepest_sketch_fill(monkeypatch, automaton, n) -> int:
         depths.append(depth)
         return draw(self, *args)
 
-    monkeypatch.setattr(Engine, "_draw_sketch_entry", recording)
+    monkeypatch.setattr(Engine, "sketch_entry", recording)
     fpras_bta(automaton, n, Config(seed=1))
-    monkeypatch.setattr(Engine, "_draw_sketch_entry", draw)
+    monkeypatch.setattr(Engine, "sketch_entry", draw)
     return max(depths)
 
 
@@ -433,7 +438,7 @@ def test_sketch_fills_made_by_draws_do_not_nest_deeper_with_n(monkeypatch):
     automaton = random_binary_automaton(
         random.Random(9), n_states=3, n_symbols=1, n_internal=7, n_leaf=2
     )
-    draw = Engine._draw_sketch_entry
+    draw = Engine.sketch_entry
     depths = []
     for n in (23, 27):
         sampler = fpaus(automaton, n, Config(seed=1))
@@ -447,10 +452,10 @@ def test_sketch_fills_made_by_draws_do_not_nest_deeper_with_n(monkeypatch):
             finally:
                 active[0] -= 1
 
-        monkeypatch.setattr(Engine, "_draw_sketch_entry", recording)
+        monkeypatch.setattr(Engine, "sketch_entry", recording)
         for _ in range(20):
             sampler.draw()
-        monkeypatch.setattr(Engine, "_draw_sketch_entry", draw)
+        monkeypatch.setattr(Engine, "sketch_entry", draw)
         depths.append(deepest[0])
     assert depths[0] > 1
     assert depths[1] <= depths[0]

@@ -6,7 +6,7 @@ from taru.formats import (
     FormatError,
     automaton_from_json,
     database_from_text,
-    decomposition_from_json,
+    decompositions_from_json,
     nfa_from_json,
     queries_from_text,
     vtree_from_json,
@@ -82,7 +82,7 @@ def test_database_parsing():
 
 def test_decomposition_parsing_rejects_cycles():
     with pytest.raises(Exception):
-        decomposition_from_json(json.dumps({
+        decompositions_from_json(json.dumps({
             "root": "a",
             "nodes": [
                 {"id": "a", "chi": ["x"], "xi": [0], "children": ["b"]},

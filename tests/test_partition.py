@@ -394,7 +394,7 @@ def test_layout_sweep_is_the_nfa_counter(fig3, catalan, mixed, q1_d1, monkeypatc
             if not nfa.transitions:
                 assert weights[c] == 0.0
                 continue
-            stream = engine.root_stream.child("part", engine.epoch, state, level, c)
+            stream = engine.root_stream.child("part", 0, state, level, c)
             counter = NfaCounter(nfa, engine.params.nfa, stream, RunStats())
             value = counter.run()
             live_in = Counter(

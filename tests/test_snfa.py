@@ -391,7 +391,7 @@ def test_subset_deviation_bound_with_large_sketches():
     leveled = prune_to_paths(unroll_nfa(nfa, 2))
     eps = 0.8
     r = leveled.size()
-    params = NfaParams(d_trials=64, beta=4000, m_rho=32, walk_cap=2048, epsilon=eps)
+    params = NfaParams(d_trials=64, beta=4000, m_rho=32, walk_cap=2048)
     counter = NfaCounter(leveled, params, Stream.from_seed(7).child("dev"), RunStats())
     counter.run()
     rng = pyrandom.Random(5)
