@@ -113,7 +113,7 @@ def main():
     )
     vtree = Tree(".", (Tree(".", (leaf("x"), leaf("y"))), leaf("z")))
     print("  exact:", truth_table_count(circuit),
-          " estimate:", f"{count_dnnf(circuit, vtree, None, config).estimate:.3f}")
+          " estimate:", f"{count_dnnf(circuit, vtree, config).estimate:.3f}")
 
     print("== nested word automaton ==")
     nwa = NestedWordAutomaton(

@@ -31,7 +31,6 @@ from .oracles import (
     brute_nfa_count,
     brute_slice,
     dp_count_bottom_up_deterministic,
-    dp_count_unambiguous,
 )
 from .sampling import EMPTY, FAIL, immediate_extensions, min_hole
 from .snfa import (

@@ -211,12 +211,10 @@ class DnnfCircuit:
         return values[self.output]
 
 
-def truth_table_count(
-    circuit: DnnfCircuit, variables=None, budget: int | None = DEFAULT_BUDGET
-) -> int:
-    """Exact model count over the given variable set (defaults to the
-    circuit's variables); refuses tables of more than `budget` rows."""
-    names = sorted(variables if variables is not None else circuit.variables())
+def truth_table_count(circuit: DnnfCircuit, budget: int | None = DEFAULT_BUDGET) -> int:
+    """Exact model count over the circuit's variables; refuses tables of
+    more than `budget` rows."""
+    names = sorted(circuit.variables())
     if budget is not None and 2 ** len(names) > budget:
         raise BudgetExceeded(
             f"truth table over {len(names)} variables has {2 ** len(names)} "
@@ -292,35 +290,10 @@ def infer_witness(circuit: DnnfCircuit, vtree: Tree) -> dict[str, tuple[int, ...
     return witness
 
 
-def validate_witness(circuit: DnnfCircuit, vtree: Tree, witness: dict) -> None:
-    leaves = vtree_leaves(vtree)
-    below = _vars_below(vtree)
-    for gid, g in circuit.gates.items():
-        if g.kind == "lit":
-            if witness.get(gid) != leaves.get(g.var):
-                raise CircuitError(f"witness must map literal {gid!r} to its leaf")
-        elif g.kind == "and":
-            addr = witness.get(gid)
-            if addr is None or addr not in below or vtree.node(addr).is_leaf():
-                raise CircuitError(f"witness misses and-gate {gid!r}")
-            lvars = circuit.vars_of[g.inputs[0]]
-            rvars = circuit.vars_of[g.inputs[1]]
-            if not (lvars <= below[addr + (1,)] and rvars <= below[addr + (2,)]):
-                raise CircuitError(f"witness node for {gid!r} does not split its inputs")
-
-
-def dnnf_to_ta(
-    circuit: DnnfCircuit,
-    vtree: Tree,
-    witness: Optional[dict] = None,
-) -> tuple[TreeAutomaton, int]:
+def dnnf_to_ta(circuit: DnnfCircuit, vtree: Tree) -> tuple[TreeAutomaton, int]:
     """Automaton accepting exactly the v-tree-shaped 0/1 trees that encode
     satisfying valuations; the model count is the slice count at |vtree|."""
-    if witness is None:
-        witness = infer_witness(circuit, vtree)
-    else:
-        validate_witness(circuit, vtree, witness)
-    below = _vars_below(vtree)
+    witness = infer_witness(circuit, vtree)
 
     def shape_state(addr) -> str:
         return "u" + ".".join(map(str, addr))
@@ -380,10 +353,8 @@ def dnnf_to_ta(
     return automaton, vtree.size
 
 
-def count_dnnf(
-    circuit: DnnfCircuit, vtree: Tree, witness: Optional[dict], config: Config
-) -> CountResult:
-    automaton, n = dnnf_to_ta(circuit, vtree, witness)
+def count_dnnf(circuit: DnnfCircuit, vtree: Tree, config: Config) -> CountResult:
+    automaton, n = dnnf_to_ta(circuit, vtree)
     result = fpras_bta(automaton, n, config)
     result.certificate["mode"] = "dnnf-count"
     result.certificate["vtree_size"] = n
@@ -427,9 +398,6 @@ class NestedWord:
                 if inter_lo <= inter_hi:
                     if not (i2 >= i and j2 <= j) and not (i >= i2 and j <= j2):
                         raise NwaError(f"pairs {lo} and {hi} cross")
-
-    def __len__(self):
-        return len(self.letters)
 
 
 @dataclass(frozen=True)
@@ -563,9 +531,6 @@ def nwa_to_bta(nwa: NestedWordAutomaton) -> TreeAutomaton:
                     (unit(q, q3), f"<{a}|{b}>", (seq(q1, q2), "pad"))
                 )
     initials = sorted(seq(q0, qf) for q0 in nwa.initial for qf in nwa.final)
-    if not initials:
-        states.add("^dead")
-        return TreeAutomaton(states | {"^dead"}, alphabet, [], "^dead", arity=2)
     return merge_initial_states(states, alphabet, transitions, initials, arity=2)
 
 

@@ -155,46 +155,26 @@ class TreeAutomaton:
         self._derive_cache[tree] = result
         return result
 
-    def accepts(self, tree: Tree, witness: bool = False):
-        """Membership test; with witness=True also returns a run (or None).
-
-        A run maps node addresses to states consistently with the
-        transitions.  Trees using undeclared symbols raise
-        UndeclaredSymbolError rather than silently failing.
-        """
-        ok = self.initial in self.derive_states(tree)
-        if not witness:
-            return ok
-        if not ok:
-            return False, None
-        run: dict[tuple[int, ...], str] = {}
-        stack = [((), tree, self.initial)]  # preorder, without recursion
-        while stack:
-            addr, node, state = stack.pop()
-            run[addr] = state
-            child_sets = [self.derive_states(c) for c in node.children]
-            for t in self.by_symbol.get((node.label, len(node.children)), ()):
-                if t.src != state:
-                    continue
-                if all(t.children[i] in child_sets[i] for i in range(len(child_sets))):
-                    for i in range(len(node.children), 0, -1):
-                        stack.append((addr + (i,), node.children[i - 1], t.children[i - 1]))
-                    break
-            else:
-                raise AssertionError("derive_states admitted a state with no transition")
-        return True, run
+    def accepts(self, tree: Tree) -> bool:
+        """Membership test.  Trees using undeclared symbols raise
+        UndeclaredSymbolError rather than silently failing."""
+        return self.initial in self.derive_states(tree)
 
 
 def merge_initial_states(
     states, alphabet, transitions, initial_states, arity=None
 ) -> TreeAutomaton:
-    """Fold a set of initial states into one synthetic super-initial state."""
+    """Fold a set of initial states into one synthetic super-initial state.
+    With no initial state the language is empty, and the fresh initial
+    state is returned with no transitions at all."""
     initial_states = list(initial_states)
     if len(initial_states) == 1:
         return TreeAutomaton(states, alphabet, transitions, initial_states[0], arity)
     fresh = "^init"
     while fresh in states:
         fresh += "'"
+    if not initial_states:
+        return TreeAutomaton(set(states) | {fresh}, alphabet, [], fresh, arity)
     new_transitions = list(transitions)
     seen = set()
     for t in transitions:

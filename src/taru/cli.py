@@ -94,6 +94,11 @@ def _check_n(n: int):
         raise UsageError(f"--n must lie in [1, {MAX_N}]")
 
 
+def _check_count(count: int):
+    if count < 0:
+        raise UsageError("--count must not be negative")
+
+
 def make_parser() -> _Parser:
     p = _Parser(prog="taru", description="Tree automata slice counting and sampling")
     p.add_argument("--version", action="version", version=f"taru {__version__}")
@@ -171,10 +176,7 @@ def make_parser() -> _Parser:
     common(sp)
 
     sp = sub.add_parser("oracle", help="exact brute-force answers")
-    sp.add_argument("--automaton")
     sp.add_argument("--n", type=int)
-    sp.add_argument("--nfa")
-    sp.add_argument("--k", type=int)
     sp.add_argument("--query")
     sp.add_argument("--database")
     sp.add_argument("--ecsp")
@@ -223,6 +225,7 @@ def _cmd_count(args, started) -> int:
 def _cmd_sample(args, started) -> int:
     automaton = automaton_from_json(_read(args.automaton))
     _check_n(args.n)
+    _check_count(args.count)
     config = _config(args)
     handle = LanguageSampler(automaton, args.n, config)
     emitted = failed = 0
@@ -290,6 +293,7 @@ def _cmd_cq_sample(args, started) -> int:
     queries, db, hds, digests = _load_query_inputs(args)
     if len(queries) != 1:
         raise UsageError("cq-sample expects a single rule")
+    _check_count(args.count)
     hd = _single_decomposition(hds, args.decomposition, "a CQ")
     config = _config(args)
     sampler = sample_cq(queries[0], db, hd, config, args.k)
@@ -326,7 +330,7 @@ def _cmd_ecsp_count(args, started) -> int:
 def _cmd_dnnf_count(args, started) -> int:
     circuit = circuit_from_json(_read(args.circuit))
     vtree = vtree_from_json(_read(args.vtree))
-    return _emit_estimate(count_dnnf(circuit, vtree, None, _config(args)), started,
+    return _emit_estimate(count_dnnf(circuit, vtree, _config(args)), started,
                           inputs={"circuit": file_digest(args.circuit),
                                   "vtree": file_digest(args.vtree)})
 
@@ -371,15 +375,6 @@ def _cmd_partition_count(args, started) -> int:
 
 def _cmd_oracle(args, started) -> int:
     budget = _budget()
-    if args.automaton and args.n is not None:
-        automaton = automaton_from_json(_read(args.automaton))
-        result = brute_slice(automaton, args.n, budget=budget)
-        _emit({"count": len(result), "mode": "oracle", "n": args.n}, f"{len(result)}", started)
-        return 0
-    if args.nfa and args.k is not None:
-        count = brute_nfa_count(nfa_from_json(_read(args.nfa)), args.k, budget=budget)
-        _emit({"count": count, "mode": "oracle", "k": args.k}, f"{count}", started)
-        return 0
     if args.query and args.database:
         queries = queries_from_text(_read(args.query))
         db = database_from_text(_read(args.database))
@@ -400,8 +395,8 @@ def _cmd_oracle(args, started) -> int:
         count = brute_nwa_count(nwa_from_json(_read(args.nwa)), args.n, budget=budget)
         _emit({"count": count, "mode": "oracle", "n": args.n}, f"{count}", started)
         return 0
-    raise UsageError("oracle needs one of: --automaton/--n, --nfa/--k, "
-                     "--query/--database, --ecsp, --circuit, --nwa/--n")
+    raise UsageError("oracle needs one of: --query/--database, --ecsp, --circuit, "
+                     "--nwa/--n; count and nfa-count take --mode brute")
 
 
 _HANDLERS = {

@@ -67,8 +67,8 @@ class RunStats:
     nfa_walk_caps         word draws stopped by the per-symbol rejection cap
     nfa_exhausted         label sample pools that ran out
     nfa_sampler_failures  failed word draws while filling a word sketch slot
-    partition_nfas        completion layouts made
-    empty_partition_nfas  completion layouts without a transition
+    partition_nfas        completion layouts made; the run check has
+                          passed, so none is empty
     partition_unions      completion layouts whose count needed the NFA
                           counter: some state has two live incoming
                           transitions
@@ -82,7 +82,6 @@ class RunStats:
     nfa_exhausted: int = 0
     nfa_sampler_failures: int = 0
     partition_nfas: int = 0
-    empty_partition_nfas: int = 0
     partition_unions: int = 0
     pruned_by_run_check: int = 0
 

@@ -529,12 +529,7 @@ def reduce_cq_to_ta(
     for _, symbol, kids in transitions:
         states.update(kids)
     initials = [state_name(hd.root, f) for f in node_states[hd.root]]
-    if not initials:
-        # No consistent assignment at the root: empty language.
-        states.add("^init")
-        automaton = TreeAutomaton(states | {"^init"}, alphabet or {"[]"}, [], "^init")
-    else:
-        automaton = merge_initial_states(states, alphabet, transitions, initials)
+    automaton = merge_initial_states(states, alphabet, transitions, initials)
     return ReductionResult(automaton, len(hd), query.head, label_assignments)
 
 

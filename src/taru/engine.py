@@ -152,7 +152,6 @@ class Engine:
         self._labels: dict[tuple[str, int], _SketchLabel] = {}
         self._proxy = weakref.proxy(self)
         self.stats = RunStats()
-        self._built = False
 
     # -- table access ------------------------------------------------------
 
@@ -196,8 +195,6 @@ class Engine:
     # -- estimates -----------------------------------------------------------
 
     def build(self) -> float:
-        if self._built:
-            return self.estimate(self.base.initial, self.n)
         for s in self.base.states:
             self.est_table[(s, 1)] = float(self.unrolled.leaf_count(s))
         for i in range(2, self.n + 1):
@@ -207,7 +204,6 @@ class Engine:
             # deep as n grows.
             for s in sorted(self.base.states):
                 self.est_table[(s, i)] = self._estimate_level_state(s, i)
-        self._built = True
         return self.estimate(self.base.initial, self.n)
 
     def _estimate_level_state(self, state: str, level: int) -> float:
@@ -283,9 +279,6 @@ class Engine:
             return 1.0
         layout = partition_layout(self.unrolled, t, state)
         self.stats.partition_nfas += 1
-        if not any(layout.layers):
-            self.stats.empty_partition_nfas += 1
-            return 0.0
         value = self._sweep(layout)
         if value is not None:
             layout.check_size(

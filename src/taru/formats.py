@@ -371,10 +371,19 @@ def nwa_from_json(text: str) -> NestedWordAutomaton:
         extra = set(obj[key]) - states
         if extra:
             raise FormatError(f"nwa: {key} states {sorted(extra)} are undeclared")
+    hierarchical = frozenset(obj["hierarchical"])
+
+    def hier_declared(kind: str, i: int, p) -> None:
+        if p not in hierarchical:
+            raise FormatError(
+                f"nwa: {kind} transition {i} uses undeclared hierarchical symbol {p!r}"
+            )
+
     calls = []
     for i, row in enumerate(obj["call"]):
         if len(row) != 4:
             raise FormatError(f"nwa: call transition {i} needs [from, symbol, to, hier]")
+        hier_declared("call", i, row[3])
         calls.append(tuple(row))
     internals = []
     for i, row in enumerate(obj["internal"]):
@@ -385,13 +394,14 @@ def nwa_from_json(text: str) -> NestedWordAutomaton:
     for i, row in enumerate(obj["return"]):
         if len(row) != 4:
             raise FormatError(f"nwa: return transition {i} needs [from, hier, symbol, to]")
+        hier_declared("return", i, row[1])
         returns.append(tuple(row))
     return NestedWordAutomaton(
         states,
         frozenset(obj["alphabet"]),
         frozenset(obj["initial"]),
         frozenset(obj["final"]),
-        frozenset(obj["hierarchical"]),
+        hierarchical,
         tuple(calls),
         tuple(internals),
         tuple(returns),

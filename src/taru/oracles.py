@@ -122,9 +122,14 @@ def check_bottom_up_deterministic(automaton: TreeAutomaton) -> None:
         seen[key] = t
 
 
-def _dp_count(automaton: TreeAutomaton, n: int) -> int:
-    """Sum over transitions and split sizes of the products of child counts,
-    for every state, filled size by size up to n, so any n works."""
+def dp_count_bottom_up_deterministic(automaton: TreeAutomaton, n: int) -> int:
+    """Exact slice count for bottom-up deterministic automata.
+
+    Sums over transitions and split sizes the products of child counts, for
+    every state, filled size by size up to n, so any n works; exact because
+    no tree has two runs in a deterministic automaton.
+    """
+    check_bottom_up_deterministic(automaton)
     counts: dict[tuple[str, int], int] = {}
     for size in range(1, n + 1):
         for state in automaton.states:
@@ -146,23 +151,6 @@ def _dp_count(automaton: TreeAutomaton, n: int) -> int:
                     total += prod
             counts[state, size] = total
     return counts.get((automaton.initial, n), 0)
-
-
-def dp_count_bottom_up_deterministic(automaton: TreeAutomaton, n: int) -> int:
-    """Exact slice count for bottom-up deterministic automata.
-
-    Sums products of child counts over split sizes; exact because no tree has
-    two runs in a deterministic automaton.
-    """
-    check_bottom_up_deterministic(automaton)
-    return _dp_count(automaton, n)
-
-
-def dp_count_unambiguous(automaton: TreeAutomaton, n: int) -> int:
-    """Same recurrence without the determinism check.  The caller must
-    certify that every accepted tree has a unique run; undetected ambiguity
-    makes this an overcount of the slice."""
-    return _dp_count(automaton, n)
 
 
 def brute_nfa_count(nfa: SuccinctNFA, k: int, budget: int | None = DEFAULT_BUDGET) -> int:

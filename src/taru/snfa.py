@@ -542,7 +542,7 @@ class NfaCounter:
                     self.stats.nfa_exhausted += 1
                     return FAIL
                 members = (0,)
-                q *= (self.est[t.src] / info.total) / 1.0
+                q *= self.est[t.src] / info.total
                 accepted = a
             else:
                 rho = self._rho(frontier, info)
@@ -579,13 +579,8 @@ class NfaCounter:
                         t2.src, blockers
                     )
                 q *= step_q / (1.0 - rho)
-                t = None
             word = (accepted,) + word
-            if len(info.trans) == 1:
-                nxt = frozenset([info.trans[0].src])
-            else:
-                nxt = frozenset(info.trans[j2].src for j2 in members)
-            frontier = nxt
+            frontier = frozenset(info.trans[j2].src for j2 in members)
         if self.nfa.initial not in frontier:
             return FAIL
         p_accept = 1.0 / (2.0 * q * est_x)

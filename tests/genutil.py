@@ -250,6 +250,30 @@ def with_initial(automaton: TreeAutomaton, state: str) -> TreeAutomaton:
                          state, automaton.arity)
 
 
+def accepting_run(automaton: TreeAutomaton, tree: Tree) -> Optional[dict]:
+    """A run of the automaton on the tree, mapping node addresses to states,
+    or None when the tree is rejected.  Built in preorder on an explicit
+    stack, so trees of any depth work."""
+    if not automaton.accepts(tree):
+        return None
+    run: dict[tuple[int, ...], str] = {}
+    stack = [((), tree, automaton.initial)]
+    while stack:
+        addr, node, state = stack.pop()
+        run[addr] = state
+        child_sets = [automaton.derive_states(c) for c in node.children]
+        for t in automaton.by_symbol.get((node.label, len(node.children)), ()):
+            if t.src != state:
+                continue
+            if all(t.children[i] in child_sets[i] for i in range(len(child_sets))):
+                for i in range(len(node.children), 0, -1):
+                    stack.append((addr + (i,), node.children[i - 1], t.children[i - 1]))
+                break
+        else:
+            raise AssertionError("derive_states admitted a state with no transition")
+    return run
+
+
 def count_runs(automaton: TreeAutomaton, tree: Tree, state: Optional[str] = None) -> int:
     """Number of distinct runs deriving the tree from the given state (the
     initial one by default)."""

@@ -144,7 +144,7 @@ def test_dnnf_example_counts():
     automaton, n = dnnf_to_ta(circuit, vtree)
     assert n == 5
     assert len(brute_slice(automaton, n, budget=None)) == 4
-    res = count_dnnf(circuit, vtree, None, Config(seed=3))
+    res = count_dnnf(circuit, vtree, Config(seed=3))
     assert res.estimate == pytest.approx(4.0, rel=0.2)
 
 

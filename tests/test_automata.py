@@ -16,7 +16,7 @@ from taru.automata import (
 from taru.oracles import brute_slice
 from taru.trees import Tree, leaf, parse_tree
 
-from genutil import count_runs, random_kary_automaton, random_ktree
+from genutil import accepting_run, count_runs, random_kary_automaton, random_ktree
 
 
 def exhaustive_accepts(automaton: TreeAutomaton, tree: Tree) -> bool:
@@ -46,8 +46,9 @@ def test_fig3_paper_examples(fig3, fig3_t1, fig3_t2):
     assert fig3_t2.size == 13
     assert fig3.accepts(fig3_t1) is False
     assert fig3.accepts(fig3_t2) is True
-    ok, run = fig3.accepts(fig3_t2, witness=True)
-    assert ok and run[()] == "s"
+    assert accepting_run(fig3, fig3_t1) is None
+    run = accepting_run(fig3, fig3_t2)
+    assert run[()] == "s"
     # Every node in the run satisfies some transition.
     trans = {(t.src, t.symbol, t.children) for t in fig3.transitions}
     for addr, node in fig3_t2.nodes():
@@ -94,8 +95,8 @@ def test_deep_caterpillar_is_accepted_without_recursion_error():
     assert t.size == 4001
     assert aut.derive_states(t) == {"t"}
     assert aut.accepts(t)
-    ok, run = aut.accepts(t, witness=True)
-    assert ok and len(run) == 4001
+    run = accepting_run(aut, t)
+    assert len(run) == 4001
     assert run[()] == run[(2,) * 2000] == "t" and run[(2,) * 1999 + (1,)] == "l"
     assert not aut.accepts(Tree("f", (t, leaf("b"))))
     with pytest.raises(UndeclaredSymbolError):
@@ -219,6 +220,9 @@ def test_merge_initial_states(catalan):
     assert merged.accepts(leaf("a")) and merged.accepts(leaf("b"))
     single = merge_initial_states(a.states, a.alphabet, a.transitions, ["t"])
     assert not single.accepts(leaf("a")) and single.accepts(leaf("b"))
+    empty = merge_initial_states(a.states, a.alphabet, a.transitions, [])
+    assert empty.initial not in a.states and not empty.transitions
+    assert not empty.accepts(leaf("a")) and not empty.accepts(leaf("b"))
 
 
 def test_binary_validation():

@@ -213,6 +213,32 @@ def test_ucq_decomposition_file_needs_one_entry_per_disjunct(files, capsys, entr
     assert code == 0 and _json_out(out)["estimate"] == 5.0
 
 
+@pytest.mark.parametrize("command", ["sample", "cq-sample"])
+def test_negative_count_is_a_usage_error(files, capsys, command):
+    if command == "sample":
+        argv = ["sample", "--automaton", files("cat.json", CATALAN), "--n", "7"]
+    else:
+        argv = ["cq-sample", "--query", files("q.txt", QUERY),
+                "--database", files("d.txt", FACTS)]
+    code, out, err = _run(capsys, argv + ["--count", "-3"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --count must not be negative")
+
+
+def test_oracle_takes_no_automaton_or_nfa(files, capsys):
+    """Exact slice and word counts are `count` and `nfa-count` with
+    --mode brute; `oracle` rejects their inputs as a usage error."""
+    aut = files("cat.json", CATALAN)
+    nfa = files("nfa.json", NFA)
+    for argv in (["--automaton", aut, "--n", "3"], ["--nfa", nfa, "--k", "2"]):
+        code, out, err = _run(capsys, ["oracle"] + argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: unrecognized arguments")
+    code, out, err = _run(capsys, ["oracle", "--n", "3"])
+    assert code == 1 and out == ""
+    assert "--query/--database, --ecsp, --circuit, --nwa/--n" in err
+
+
 def test_oracle_cq(files, capsys):
     q = files("q.txt", QUERY)
     d = files("d.txt", FACTS)
@@ -354,6 +380,37 @@ def test_oracle_nwa_budget_exit_3(files, capsys, monkeypatch):
     nwa = files("w.json", NWA)
     monkeypatch.setenv("TARU_BUDGET", "1")
     _assert_budget_failure(*_run(capsys, ["oracle", "--nwa", nwa, "--n", "6"]))
+
+
+@pytest.mark.parametrize("kind", ["call", "return"])
+def test_nwa_undeclared_hierarchical_symbol_is_invalid_input(files, capsys, kind):
+    """A call or return row naming a hierarchical symbol that the file does
+    not declare is invalid input for both the estimator and the oracle."""
+    spec = {"states": ["q"], "alphabet": ["a", "b"], "initial": ["q"], "final": ["q"],
+            "hierarchical": ["p"], "call": [["q", "a", "q", "p"]], "internal": [],
+            "return": [["q", "p", "b", "q"]]}
+    if kind == "call":
+        spec["call"] = [["q", "a", "q", "zz"]]
+    else:
+        spec["return"] = [["q", "zz", "b", "q"]]
+    nwa = files("w.json", json.dumps(spec))
+    for command in ("nwa-count", "oracle"):
+        code, out, err = _run(capsys, [command, "--nwa", nwa, "--n", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: nwa: {kind} transition 0 uses undeclared "
+                              "hierarchical symbol 'zz'")
+
+
+def test_nwa_without_an_accepting_pair_counts_zero(files, capsys):
+    """No initial state may end in a final one: the reduction's automaton
+    has an initial state and no transition, and both routes count 0."""
+    spec = json.loads(NWA)
+    spec["final"] = []
+    nwa = files("w.json", json.dumps(spec))
+    code, out, _ = _run(capsys, ["nwa-count", "--nwa", nwa, "--n", "3", "--seed", "1"])
+    assert code == 0 and _json_out(out)["estimate"] == 0.0
+    code, out, _ = _run(capsys, ["oracle", "--nwa", nwa, "--n", "3"])
+    assert code == 0 and _json_out(out)["count"] == 0
 
 
 ECSP = json.dumps(

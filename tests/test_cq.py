@@ -317,9 +317,9 @@ def test_cq_handle_checks_and_decodes_each_distinct_tree_once(monkeypatch):
     calls = {"accepts": 0, "decode_answer": 0}
     accepts, decode_answer = TreeAutomaton.accepts, ReductionResult.decode_answer
 
-    def counted_accepts(self, tree, witness=False):
+    def counted_accepts(self, tree):
         calls["accepts"] += 1
-        return accepts(self, tree, witness)
+        return accepts(self, tree)
 
     def counted_decode(self, tree):
         calls["decode_answer"] += 1

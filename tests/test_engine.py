@@ -315,21 +315,18 @@ def test_nfa_sampler_failures_reach_the_certificate(fig3):
 
 
 def test_structure_counters_reach_the_certificate_and_are_pinned(fig3):
-    """Completion layouts made, how many were empty, and partial trees pruned
-    by the run check, at seed 1: after a count and after fifty draws.  Beside
-    them, the layouts whose count needed the NFA counter: none for the
-    count, four for the draws.  A draw counts only candidates with a live
-    sibling."""
+    """Completion layouts made and partial trees pruned by the run check, at
+    seed 1: after a count and after fifty draws.  Beside them, the layouts
+    whose count needed the NFA counter: none for the count, four for the
+    draws.  A draw counts only candidates with a live sibling."""
     warnings = fpras_bta(fig3, 13, Config(seed=1)).certificate["warnings"]
-    assert (warnings["partition_nfas"], warnings["empty_partition_nfas"],
-            warnings["pruned_by_run_check"]) == (10, 0, 18)
+    assert (warnings["partition_nfas"], warnings["pruned_by_run_check"]) == (10, 18)
     assert warnings["partition_unions"] == 0
     sampler = fpaus(fig3, 11, Config(seed=1))
     for _ in range(50):
         sampler.draw()
     warnings = sampler.handle.count().certificate["warnings"]
-    assert (warnings["partition_nfas"], warnings["empty_partition_nfas"],
-            warnings["pruned_by_run_check"]) == (41, 0, 45)
+    assert (warnings["partition_nfas"], warnings["pruned_by_run_check"]) == (41, 45)
     assert warnings["partition_unions"] == 4
 
 
@@ -592,9 +589,9 @@ def test_each_distinct_draw_is_checked_once(monkeypatch, fig3):
     checked = []
     accepts = TreeAutomaton.accepts
 
-    def counted(self, tree, witness=False):
+    def counted(self, tree):
         checked.append(tree)
-        return accepts(self, tree, witness)
+        return accepts(self, tree)
 
     monkeypatch.setattr(TreeAutomaton, "accepts", counted)
     handle = LanguageSampler(fig3, 13, Config(seed=2))
