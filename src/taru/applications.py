@@ -415,8 +415,24 @@ class NestedWordAutomaton:
         for sym in self.alphabet:
             if sym in RESERVED_TREE_SYMBOLS or "<" in sym or "|" in sym:
                 raise NwaError(
-                    f"alphabet symbol {sym!r} collides with the tree encoding"
+                    f"nwa: alphabet symbol {sym!r} collides with the tree encoding"
                 )
+        for name in ("initial", "final"):
+            extra = getattr(self, name) - self.states
+            if extra:
+                raise NwaError(f"nwa: {name} states {sorted(extra, key=repr)} are undeclared")
+        for kind, rows, fields in (
+            ("call", self.call_transitions, ("from", "symbol", "to", "hier")),
+            ("internal", self.internal_transitions, ("from", "symbol", "to")),
+            ("return", self.return_transitions, ("from", "hier", "symbol", "to")),
+        ):
+            for i, row in enumerate(rows):
+                if len(row) != len(fields):
+                    raise NwaError(f"nwa: {kind} transition {i} needs [{', '.join(fields)}]")
+                named = dict(zip(fields, row))
+                if "hier" in named and named["hier"] not in self.hierarchical:
+                    raise NwaError(f"nwa: {kind} transition {i} uses undeclared "
+                                   f"hierarchical symbol {named['hier']!r}")
 
 
 def _units(word: NestedWord) -> list:
@@ -537,6 +553,8 @@ def nwa_to_bta(nwa: NestedWordAutomaton) -> TreeAutomaton:
 def enumerate_nested_words(alphabet, n: int) -> Iterator[NestedWord]:
     """All nested words of length n over the alphabet, one at a time (test
     oracle)."""
+    if n < 0:
+        raise ValueError(f"word length {n} is negative")
     alphabet = sorted(alphabet)
 
     def structures(m: int) -> list[tuple]:

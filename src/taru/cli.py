@@ -182,7 +182,6 @@ def make_parser() -> _Parser:
     sp.add_argument("--ecsp")
     sp.add_argument("--circuit")
     sp.add_argument("--nwa")
-    common(sp)
     return p
 
 
@@ -392,7 +391,9 @@ def _cmd_oracle(args, started) -> int:
         _emit({"count": count, "mode": "oracle"}, f"{count}", started)
         return 0
     if args.nwa and args.n is not None:
-        count = brute_nwa_count(nwa_from_json(_read(args.nwa)), args.n, budget=budget)
+        nwa = nwa_from_json(_read(args.nwa))
+        _check_n(args.n)
+        count = brute_nwa_count(nwa, args.n, budget=budget)
         _emit({"count": count, "mode": "oracle", "n": args.n}, f"{count}", started)
         return 0
     raise UsageError("oracle needs one of: --query/--database, --ecsp, --circuit, "

@@ -1,6 +1,8 @@
 """On-disk formats: JSON for structured objects, small text forms for trees,
-queries and facts.  Parsers reject duplicates and undeclared references and
-report positions where they can."""
+queries and facts.  The text parsers report positions where they can.  The
+JSON readers check only each document's shape; the objects they build make
+every check of its content, so callers that build those objects in-process
+get the same rejections."""
 
 from __future__ import annotations
 
@@ -45,84 +47,58 @@ def _load_json(text: str, what: str):
         raise FormatError(f"{what}: JSON nested too deeply")
 
 
-_SCALARS = (str, int, float, bool, type(None))
+# A shape describes a JSON value: (description, types) for a value whose type
+# is one of types, [shape] for a list whose entries all match shape, or
+# {field: shape} for an object, whose fields named with a trailing "?" may
+# be absent.
+SCALAR = ("a string or number", (str, int, float, bool, type(None)))
+ARITY = ("an integer", (int, type(None)))
+INDEX = ("an integer", (int, float, bool, str))  # read with int()
+ANY = ("any value", SCALAR[1] + (list, dict))  # read with str()
 
 
-def _load_object(text: str, what: str, shape: dict) -> dict:
-    """The JSON object in text, checked against `shape` (see _check_shape),
-    so that the reader below it meets only the types it indexes into."""
-    return _checked_object(_load_json(text, what), what, shape)
+def _check_shape(value, shape, what: str, path: str = "") -> None:
+    at = f"{what}: {path or 'the document'}"
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            raise FormatError(f"{at} must be an object")
+        for name, field_shape in shape.items():
+            key = name.rstrip("?")
+            where = f"{path}.{key}" if path else key
+            if key in value:
+                _check_shape(value[key], field_shape, what, where)
+            elif key == name:
+                raise FormatError(f"{what}: missing field {where!r}")
+    elif isinstance(shape, list):
+        if type(value) is not list:
+            raise FormatError(f"{at} must be a list")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], what, f"{path}[{i}]")
+    elif type(value) not in shape[1]:
+        raise FormatError(f"{at} must be {shape[0]}")
 
 
-def _checked_object(obj, what: str, shape: dict) -> dict:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what}: expected a JSON object")
-    _check_shape(obj, shape, what)
-    return obj
-
-
-def _check_shape(obj: dict, shape: dict, where: str) -> None:
-    """Each field of obj named in shape, when present, must be a list.  Its
-    entries must be objects checked against the nested shape (a dict),
-    lists of scalars (list), or scalars (None)."""
-    for key, entry in shape.items():
-        items = obj.get(key, [])
-        if not isinstance(items, list):
-            raise FormatError(f"{where}: field {key!r} must be a list")
-        for i, item in enumerate(items):
-            at = f"{where}: {key}[{i}]"
-            if isinstance(entry, dict):
-                if not isinstance(item, dict):
-                    raise FormatError(f"{at} must be an object")
-                _check_shape(item, entry, at)
-            elif entry is list:
-                if not isinstance(item, list) or not all(isinstance(x, _SCALARS) for x in item):
-                    raise FormatError(f"{at} must be a list of strings or numbers")
-            elif not isinstance(item, _SCALARS):
-                raise FormatError(f"{at} must be a string or number")
-
-
-def _required(obj, key, what):
-    """A field the reader needs; its type was checked on loading."""
-    if key not in obj:
-        raise FormatError(f"{what}: missing field {key!r}")
-    return obj[key]
+def _load(text: str, what: str, shape):
+    """The JSON document in text, checked against shape."""
+    doc = _load_json(text, what)
+    _check_shape(doc, shape, what)
+    return doc
 
 
 # -- tree automata -------------------------------------------------------------
 
 
 def automaton_from_json(text: str) -> TreeAutomaton:
-    obj = _load_object(text, "automaton", {
-        "states": None, "alphabet": None, "transitions": {"children": None}})
-    states = _required(obj, "states", "automaton")
-    alphabet = _required(obj, "alphabet", "automaton")
-    if len(set(states)) != len(states):
-        raise FormatError("automaton: duplicate state names")
-    if len(set(alphabet)) != len(alphabet):
-        raise FormatError("automaton: duplicate alphabet symbols")
-    if "initial" not in obj:
-        raise FormatError("automaton: missing field 'initial'")
-    transitions = []
-    for i, t in enumerate(_required(obj, "transitions", "automaton")):
-        for key in ("from", "symbol"):
-            if key not in t:
-                raise FormatError(f"automaton: transition {i} lacks {key!r}")
-        children = t.get("children", [])
-        if t["from"] not in states:
-            raise FormatError(f"automaton: transition {i} uses undeclared state {t['from']!r}")
-        if t["symbol"] not in alphabet:
-            raise FormatError(f"automaton: transition {i} uses undeclared symbol {t['symbol']!r}")
-        for c in children:
-            if c not in states:
-                raise FormatError(f"automaton: transition {i} uses undeclared state {c!r}")
-        transitions.append((t["from"], t["symbol"], tuple(children)))
-    if obj["initial"] not in states:
-        raise FormatError(f"automaton: initial state {obj['initial']!r} is undeclared")
-    arity = obj.get("arity")
-    if arity is not None and type(arity) is not int:
-        raise FormatError("automaton: field 'arity' must be an integer")
-    return TreeAutomaton(states, alphabet, transitions, obj["initial"], arity)
+    obj = _load(text, "automaton", {
+        "states": [SCALAR], "alphabet": [SCALAR], "initial": SCALAR, "arity?": ARITY,
+        "transitions": [{"from": SCALAR, "symbol": SCALAR, "children?": [SCALAR]}]})
+    # The automaton keeps these as sets, where duplicates would pass unseen.
+    for key in ("states", "alphabet"):
+        if len(set(obj[key])) != len(obj[key]):
+            raise FormatError(f"automaton: duplicate entries in {key!r}")
+    transitions = [(t["from"], t["symbol"], t.get("children", [])) for t in obj["transitions"]]
+    return TreeAutomaton(obj["states"], obj["alphabet"], transitions, obj["initial"],
+                         obj.get("arity"))
 
 
 def tree_from_text(text: str) -> Tree:
@@ -136,31 +112,13 @@ def tree_from_text(text: str) -> Tree:
 
 
 def nfa_from_json(text: str) -> SuccinctNFA:
-    obj = _load_object(text, "nfa", {"states": None, "transitions": {"label": None}})
-    states = _required(obj, "states", "nfa")
-    if len(set(states)) != len(states):
-        raise FormatError("nfa: duplicate state names")
-    for key in ("initial", "final"):
-        if key not in obj:
-            raise FormatError(f"nfa: missing field {key!r}")
-        if obj[key] not in states:
-            raise FormatError(f"nfa: {key} state {obj[key]!r} is undeclared")
-    labels = {}
-    transitions = []
-    for i, t in enumerate(_required(obj, "transitions", "nfa")):
-        for key in ("from", "to", "label"):
-            if key not in t:
-                raise FormatError(f"nfa: transition {i} lacks {key!r}")
-        if t["from"] not in states or t["to"] not in states:
-            raise FormatError(f"nfa: transition {i} uses an undeclared state")
-        if not t["label"]:
-            raise FormatError(f"nfa: transition {i} label must be a nonempty list")
-        if len(set(t["label"])) != len(t["label"]):
-            raise FormatError(f"nfa: transition {i} label has duplicates")
-        key = f"L{i}"
-        labels[key] = ExplicitLabel(key, tuple(t["label"]))
-        transitions.append((t["from"], key, t["to"]))
-    return SuccinctNFA(states, transitions, obj["initial"], obj["final"], labels)
+    obj = _load(text, "nfa", {
+        "states": [SCALAR], "initial": SCALAR, "final": SCALAR,
+        "transitions": [{"from": SCALAR, "to": SCALAR, "label": [SCALAR]}]})
+    labels = {f"L{i}": ExplicitLabel(f"L{i}", t["label"])
+              for i, t in enumerate(obj["transitions"])}
+    transitions = [(t["from"], f"L{i}", t["to"]) for i, t in enumerate(obj["transitions"])]
+    return SuccinctNFA(obj["states"], transitions, obj["initial"], obj["final"], labels)
 
 
 # -- queries, facts, decompositions -----------------------------------------
@@ -265,23 +223,16 @@ def database_from_text(text: str) -> Database:
 
 
 def _decomposition(obj) -> HypertreeDecomposition:
-    obj = _checked_object(obj, "decomposition", {
-        "nodes": {"chi": None, "xi": None, "children": None}})
-    nodes = []
-    for i, node in enumerate(_required(obj, "nodes", "decomposition")):
-        for key in ("id", "chi", "xi"):
-            if key not in node:
-                raise FormatError(f"decomposition: node {i} lacks {key!r}")
-        nodes.append(
-            DecompositionNode(
-                str(node["id"]),
-                frozenset(node["chi"]),
-                tuple(int(x) for x in node["xi"]),
-                tuple(str(c) for c in node.get("children", [])),
-            )
-        )
-    if "root" not in obj:
-        raise FormatError("decomposition: missing field 'root'")
+    _check_shape(obj, {
+        "root": ANY,
+        "nodes": [{"id": ANY, "chi": [SCALAR], "xi": [INDEX], "children?": [SCALAR]}]},
+        "decomposition")
+    nodes = [
+        DecompositionNode(str(node["id"]), frozenset(node["chi"]),
+                          tuple(int(x) for x in node["xi"]),
+                          tuple(str(c) for c in node.get("children", [])))
+        for node in obj["nodes"]
+    ]
     return HypertreeDecomposition(nodes, str(obj["root"]))
 
 
@@ -298,54 +249,32 @@ def decompositions_from_json(text: str) -> list[Optional[HypertreeDecomposition]
 
 
 def ecsp_from_json(text: str) -> Ecsp:
-    obj = _load_object(text, "ecsp", {
-        "output": None, "variables": None, "domain": None,
-        "constraints": {"scope": None, "tuples": list}})
-    for key in ("output", "variables", "domain", "constraints"):
-        if key not in obj:
-            raise FormatError(f"ecsp: missing field {key!r}")
-    constraints = []
-    for i, c in enumerate(obj["constraints"]):
-        if "scope" not in c or "tuples" not in c:
-            raise FormatError(f"ecsp: constraint {i} needs 'scope' and 'tuples'")
-        constraints.append(
-            (tuple(c["scope"]), frozenset(tuple(str(v) for v in row) for row in c["tuples"]))
-        )
+    obj = _load(text, "ecsp", {
+        "output": [SCALAR], "variables": [SCALAR], "domain": [SCALAR],
+        "constraints": [{"scope": [SCALAR], "tuples": [[SCALAR]]}]})
     return Ecsp(
         tuple(obj["output"]),
         tuple(obj["variables"]),
         tuple(str(d) for d in obj["domain"]),
-        tuple(constraints),
+        tuple((tuple(c["scope"]), frozenset(tuple(str(v) for v in row) for row in c["tuples"]))
+              for c in obj["constraints"]),
     )
 
 
 def circuit_from_json(text: str) -> DnnfCircuit:
-    obj = _load_object(text, "circuit", {"gates": {"inputs": None}})
-    gates = []
-    for i, g in enumerate(_required(obj, "gates", "circuit")):
-        if "id" not in g or "type" not in g:
-            raise FormatError(f"circuit: gate {i} needs 'id' and 'type'")
-        if g["type"] not in ("and", "or", "lit"):
-            raise FormatError(f"circuit: gate {i} has unknown type {g['type']!r}")
-        if not isinstance(g.get("var"), _SCALARS):
-            raise FormatError(f"circuit: gate {i} has a non-scalar 'var'")
-        gates.append(
-            Gate(
-                str(g["id"]),
-                g["type"],
-                tuple(str(x) for x in g.get("inputs", [])),
-                g.get("var"),
-                bool(g.get("sign", True)),
-            )
-        )
-    if "output" not in obj:
-        raise FormatError("circuit: missing field 'output'")
+    obj = _load(text, "circuit", {
+        "output": ANY,
+        "gates": [{"id": ANY, "type": SCALAR, "inputs?": [SCALAR], "var?": SCALAR,
+                   "sign?": SCALAR}]})
+    gates = [
+        Gate(str(g["id"]), g["type"], tuple(str(x) for x in g.get("inputs", [])),
+             g.get("var"), bool(g.get("sign", True)))
+        for g in obj["gates"]
+    ]
     return DnnfCircuit(gates, str(obj["output"]))
 
 
 def vtree_from_json(text: str) -> Tree:
-    obj = _load_object(text, "vtree", {})
-
     def build(node) -> Tree:
         if not isinstance(node, dict):
             raise FormatError("vtree: nodes must be objects")
@@ -355,54 +284,15 @@ def vtree_from_json(text: str) -> Tree:
             return Tree(".", (build(node["left"]), build(node["right"])))
         raise FormatError("vtree: node needs either 'var' or 'left'/'right'")
 
-    return build(obj)
+    return build(_load_json(text, "vtree"))
 
 
 def nwa_from_json(text: str) -> NestedWordAutomaton:
-    obj = _load_object(text, "nwa", {
-        "states": None, "alphabet": None, "initial": None, "final": None,
-        "hierarchical": None, "call": list, "internal": list, "return": list})
-    for key in ("states", "alphabet", "initial", "final", "hierarchical",
-                "call", "internal", "return"):
-        if key not in obj:
-            raise FormatError(f"nwa: missing field {key!r}")
-    states = frozenset(obj["states"])
-    for key in ("initial", "final"):
-        extra = set(obj[key]) - states
-        if extra:
-            raise FormatError(f"nwa: {key} states {sorted(extra)} are undeclared")
-    hierarchical = frozenset(obj["hierarchical"])
-
-    def hier_declared(kind: str, i: int, p) -> None:
-        if p not in hierarchical:
-            raise FormatError(
-                f"nwa: {kind} transition {i} uses undeclared hierarchical symbol {p!r}"
-            )
-
-    calls = []
-    for i, row in enumerate(obj["call"]):
-        if len(row) != 4:
-            raise FormatError(f"nwa: call transition {i} needs [from, symbol, to, hier]")
-        hier_declared("call", i, row[3])
-        calls.append(tuple(row))
-    internals = []
-    for i, row in enumerate(obj["internal"]):
-        if len(row) != 3:
-            raise FormatError(f"nwa: internal transition {i} needs [from, symbol, to]")
-        internals.append(tuple(row))
-    returns = []
-    for i, row in enumerate(obj["return"]):
-        if len(row) != 4:
-            raise FormatError(f"nwa: return transition {i} needs [from, hier, symbol, to]")
-        hier_declared("return", i, row[1])
-        returns.append(tuple(row))
-    return NestedWordAutomaton(
-        states,
-        frozenset(obj["alphabet"]),
-        frozenset(obj["initial"]),
-        frozenset(obj["final"]),
-        hierarchical,
-        tuple(calls),
-        tuple(internals),
-        tuple(returns),
-    )
+    obj = _load(text, "nwa", {
+        "states": [SCALAR], "alphabet": [SCALAR], "initial": [SCALAR], "final": [SCALAR],
+        "hierarchical": [SCALAR], "call": [[SCALAR]], "internal": [[SCALAR]],
+        "return": [[SCALAR]]})
+    sets = [frozenset(obj[key])
+            for key in ("states", "alphabet", "initial", "final", "hierarchical")]
+    rows = [tuple(map(tuple, obj[key])) for key in ("call", "internal", "return")]
+    return NestedWordAutomaton(*sets, *rows)

@@ -82,6 +82,9 @@ class ExplicitLabel(LabelOracle):
         if not self.elements:
             raise NfaError(f"label {key!r} is empty")
         self._set = frozenset(self.elements)
+        if len(self._set) != len(self.elements):
+            # size_est counts the listed elements.
+            raise NfaError(f"label {key!r} lists a symbol twice")
 
     def member(self, element) -> bool:
         return element in self._set

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -244,6 +245,45 @@ def test_matching_validation():
         NestedWord(("a",) * 3, frozenset({(2, 2)}))  # not increasing
     with pytest.raises(NwaError):
         NestedWord(("a",) * 4, frozenset({(1, 2), (1, 4)}))  # call reused
+
+
+def _nwa_with(**changes):
+    """A one-state NWA over {a, b} with the hierarchical symbol p, whose
+    fields `changes` replaces."""
+    fields = dict(
+        states=frozenset({"q"}), alphabet=frozenset({"a", "b"}),
+        initial=frozenset({"q"}), final=frozenset({"q"}), hierarchical=frozenset({"p"}),
+        call_transitions=(("q", "a", "q", "p"),), internal_transitions=(("q", "a", "q"),),
+        return_transitions=(("q", "p", "b", "q"),),
+    )
+    fields.update(changes)
+    return NestedWordAutomaton(**fields)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"call_transitions": (("q", "a", "q", "zz"),)},
+     "call transition 0 uses undeclared hierarchical symbol 'zz'"),
+    ({"return_transitions": (("q", "zz", "b", "q"),)},
+     "return transition 0 uses undeclared hierarchical symbol 'zz'"),
+    ({"initial": frozenset({"z"})}, "initial states ['z'] are undeclared"),
+    ({"final": frozenset({"z"})}, "final states ['z'] are undeclared"),
+    ({"call_transitions": (("q", "a", "q"),)}, "call transition 0 needs"),
+    ({"internal_transitions": (("q", "a", "q", "p"),)}, "internal transition 0 needs"),
+    ({"return_transitions": (("q", "p", "b"),)}, "return transition 0 needs"),
+], ids=["call-hier", "return-hier", "initial", "final", "call-width", "internal-width",
+        "return-width"])
+def test_nwa_rejects_undeclared_references_and_bad_rows(changes, message):
+    """Built in-process, an NWA makes the same checks as its file reader;
+    before, an undeclared hierarchical symbol counted as declared, and an
+    undeclared initial state failed only in the reduction."""
+    _nwa_with()
+    with pytest.raises(NwaError, match=re.escape(message)):
+        _nwa_with(**changes)
+
+
+def test_nested_word_enumeration_rejects_negative_length():
+    with pytest.raises(ValueError):
+        next(enumerate_nested_words(["a"], -1))
 
 
 def test_fig_shape_word_accepted():

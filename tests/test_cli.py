@@ -239,6 +239,21 @@ def test_oracle_takes_no_automaton_or_nfa(files, capsys):
     assert "--query/--database, --ecsp, --circuit, --nwa/--n" in err
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_oracle_nwa_length_is_range_checked(files, capsys, n):
+    """`oracle --nwa` checks --n as nwa-count does."""
+    code, out, err = _run(capsys, ["oracle", "--nwa", files("w.json", NWA), "--n", n])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --n must lie in [1, ")
+
+
+def test_oracle_takes_no_estimator_flags(files, capsys):
+    code, out, err = _run(capsys, ["oracle", "--nwa", files("w.json", NWA), "--n", "2",
+                                   "--seed", "5"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: unrecognized arguments: --seed")
+
+
 def test_oracle_cq(files, capsys):
     q = files("q.txt", QUERY)
     d = files("d.txt", FACTS)
@@ -584,6 +599,16 @@ def _wrong_typed(text, **changes):
     return json.dumps(dict(json.loads(text), **changes))
 
 
+def _edited(text, edit):
+    """The JSON document `text` after `edit` changes it in place."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+_NODE = {"id": "n0", "chi": ["x"], "xi": [0]}
+
+
 @pytest.mark.parametrize("command, flag, bad", [
     pytest.param("count", "--automaton", "5", id="automaton"),
     pytest.param("count", "--automaton", _wrong_typed(CATALAN, transitions=[5]),
@@ -608,6 +633,51 @@ def _wrong_typed(text, **changes):
     pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, internal=[5]), id="nwa-row"),
     pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, initial="q0"), id="nwa-initial"),
     pytest.param("cq-count", "--decomposition", "[5]", id="decomposition"),
+    # A missing field, at the top and nested, in each reader.
+    pytest.param("count", "--automaton", _edited(CATALAN, lambda d: d.pop("initial")),
+                 id="automaton-no-initial"),
+    pytest.param("count", "--automaton", _edited(
+        CATALAN, lambda d: d["transitions"][0].pop("symbol")), id="automaton-no-symbol"),
+    pytest.param("nfa-count", "--nfa", _edited(NFA, lambda d: d.pop("final")),
+                 id="nfa-no-final"),
+    pytest.param("nfa-count", "--nfa", _edited(NFA, lambda d: d["transitions"][1].pop("to")),
+                 id="nfa-no-to"),
+    pytest.param("ecsp-count", "--ecsp", _edited(ECSP, lambda d: d.pop("domain")),
+                 id="ecsp-no-domain"),
+    pytest.param("ecsp-count", "--ecsp", _edited(
+        ECSP, lambda d: d["constraints"][0].pop("tuples")), id="ecsp-no-tuples"),
+    pytest.param("dnnf-count", "--circuit", _edited(CIRCUIT, lambda d: d.pop("output")),
+                 id="circuit-no-output"),
+    pytest.param("dnnf-count", "--circuit", _edited(
+        CIRCUIT, lambda d: d["gates"][0].pop("type")), id="circuit-no-type"),
+    pytest.param("dnnf-count", "--vtree", json.dumps({"left": {"var": "x"}}),
+                 id="vtree-no-right"),
+    pytest.param("nwa-count", "--nwa", _edited(NWA, lambda d: d.pop("hierarchical")),
+                 id="nwa-no-hierarchical"),
+    pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, internal=[["q0", "a"]]),
+                 id="nwa-short-row"),
+    pytest.param("cq-count", "--decomposition", json.dumps({"nodes": [_NODE]}),
+                 id="decomposition-no-root"),
+    pytest.param("cq-count", "--decomposition", json.dumps(
+        {"root": "n0", "nodes": [{"id": "n0", "chi": ["x"]}]}), id="decomposition-no-xi"),
+    # An invariant that the built object checks.
+    pytest.param("count", "--automaton", _edited(
+        CATALAN, lambda d: d["transitions"][0].update(children=["r", "s"])),
+        id="automaton-undeclared-child"),
+    pytest.param("nfa-count", "--nfa", _edited(
+        NFA, lambda d: d["transitions"][0].update(label=["a", "a"])), id="nfa-duplicate-symbol"),
+    pytest.param("nfa-count", "--nfa", _edited(
+        NFA, lambda d: d["transitions"][0].update(label=[])), id="nfa-empty-label"),
+    pytest.param("nfa-count", "--nfa", _wrong_typed(NFA, final="x9"), id="nfa-undeclared-final"),
+    pytest.param("ecsp-count", "--ecsp", _edited(
+        ECSP, lambda d: d["constraints"][1].update(scope=["w"])), id="ecsp-undeclared-variable"),
+    pytest.param("dnnf-count", "--circuit", _edited(
+        CIRCUIT, lambda d: d["gates"][6].update(type="xor")), id="circuit-unknown-type"),
+    pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, initial=["z"]),
+                 id="nwa-undeclared-initial"),
+    pytest.param("cq-count", "--decomposition", json.dumps(
+        {"root": "n0", "nodes": [dict(_NODE, children=["n9"])]}),
+        id="decomposition-undeclared-child"),
 ])
 def test_wrong_typed_json_is_invalid_input(files, capsys, command, flag, bad):
     """A JSON file whose document or entries have the wrong type, read by

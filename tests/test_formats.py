@@ -12,6 +12,9 @@ from taru.formats import (
     vtree_from_json,
 )
 
+from taru.automata import AutomatonError
+from taru.snfa import NfaError
+
 from genutil import automaton_to_json
 
 
@@ -36,12 +39,12 @@ def test_automaton_rejects_duplicates():
 
 
 def test_automaton_rejects_undeclared():
-    with pytest.raises(FormatError) as err:
+    with pytest.raises(AutomatonError) as err:
         automaton_from_json(json.dumps({
             "states": ["s"], "alphabet": ["a"], "initial": "s",
             "transitions": [{"from": "s", "symbol": "b", "children": []}]}))
     assert "'b'" in str(err.value)
-    with pytest.raises(FormatError):
+    with pytest.raises(AutomatonError):
         automaton_from_json(json.dumps({
             "states": ["s"], "alphabet": ["a"], "initial": "t",
             "transitions": []}))
@@ -91,7 +94,7 @@ def test_decomposition_parsing_rejects_cycles():
 
 
 def test_nfa_parsing_rejects_empty_label():
-    with pytest.raises(FormatError):
+    with pytest.raises(NfaError):
         nfa_from_json(json.dumps({
             "states": ["a", "b"], "initial": "a", "final": "b",
             "transitions": [{"from": "a", "to": "b", "label": []}]}))

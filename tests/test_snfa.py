@@ -10,6 +10,7 @@ from taru.sampling import EMPTY, FAIL
 from taru.snfa import (
     ExplicitLabel,
     NfaCounter,
+    NfaError,
     SuccinctNFA,
     count_succinct_nfa,
     prune_to_paths,
@@ -327,6 +328,15 @@ def test_explicit_label_contract():
     draw = lab.new_sampler(Stream.from_seed(4))
     seen = {draw() for _ in range(60)}
     assert seen == {"a", "b", "c"}
+
+
+@pytest.mark.parametrize("elements", [(), ("a", "a")], ids=["empty", "duplicate"])
+def test_explicit_label_rejects_empty_and_duplicate_symbols(elements):
+    """A label that listed a symbol twice would count it twice: size_est
+    counts the listed elements, while brute force counts distinct words."""
+    with pytest.raises(NfaError):
+        SuccinctNFA(["s", "f"], [("s", "k", "f")], "s", "f",
+                    {"k": ExplicitLabel("k", elements)})
 
 
 def test_one_symbol_label_draws_without_randomness(monkeypatch):
