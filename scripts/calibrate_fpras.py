@@ -16,7 +16,7 @@ import time
 from taru.automata import TreeAutomaton
 from taru.config import Config
 from taru.engine import fpras_bta
-from taru.oracles import brute_slice
+from taru.oracles import exact_slice_count
 
 
 def fixtures():
@@ -82,7 +82,7 @@ def main() -> int:
     grand_ok = True
     for name, automaton, sizes in fixtures():
         for n in sizes:
-            truth = len(brute_slice(automaton, n, budget=None))
+            truth = exact_slice_count(automaton, n, budget=None)
             if truth == 0 or truth > args.max_count:
                 print(f"{name:14s} n={n:2d} truth={truth:4d}  (outside [1, {args.max_count}], skipped)")
                 continue

@@ -30,7 +30,7 @@ from .oracles import (
     brute_completions,
     brute_nfa_count,
     brute_slice,
-    dp_count_bottom_up_deterministic,
+    exact_slice_count,
 )
 from .sampling import EMPTY, FAIL, immediate_extensions, min_hole
 from .snfa import (

@@ -593,17 +593,19 @@ def enumerate_nested_words(alphabet, n: int) -> Iterator[NestedWord]:
 def brute_nwa_count(
     nwa: NestedWordAutomaton, n: int, budget: int | None = DEFAULT_BUDGET
 ) -> int:
-    """Exact count of accepted words of length n; refuses to test more than
-    `budget` words."""
-    count = 0
-    for seen, w in enumerate(enumerate_nested_words(nwa.alphabet, n), 1):
-        if budget is not None and seen > budget:
+    """Exact count of accepted words of length n; refuses, before it
+    enumerates any, to test more than `budget` words."""
+    if budget is not None:
+        # Well-matched nestings of length n number Motzkin(n).
+        motzkin, previous = 1, 0
+        for m in range(1, n + 1):
+            motzkin, previous = (
+                ((2 * m + 1) * motzkin + (3 * m - 3) * previous) // (m + 2), motzkin)
+        if motzkin * len(nwa.alphabet) ** n > budget:
             raise BudgetExceeded(
                 f"nested words of length {n} number more than the budget of {budget}"
             )
-        if nwa_accepts(nwa, w):
-            count += 1
-    return count
+    return sum(1 for w in enumerate_nested_words(nwa.alphabet, n) if nwa_accepts(nwa, w))
 
 
 def count_nwa(nwa: NestedWordAutomaton, n: int, config: Config) -> CountResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -40,12 +41,7 @@ from .formats import (
     tree_from_text,
     vtree_from_json,
 )
-from .oracles import (
-    BudgetExceeded,
-    brute_nfa_count,
-    brute_slice,
-    dp_count_bottom_up_deterministic,
-)
+from .oracles import BudgetExceeded, brute_nfa_count, brute_slice, exact_slice_count
 from .sampling import EMPTY
 from .snfa import OracleExhausted, count_succinct_nfa
 from .trees import Tree, serialize_tree
@@ -196,8 +192,14 @@ def _emit(payload: dict, summary: str, started: float) -> None:
     print(summary, file=sys.stderr)
 
 
-def _emit_estimate(result, started: float, **fields) -> int:
-    """Print an estimate with its certificate and the command's own fields."""
+def _emit_estimate(result, started: float, exact_hint: str = "", **fields) -> int:
+    """Print an estimate with its certificate and the command's own fields.
+    A non-finite estimate is no (1 ± ε) estimate and has no JSON form: the
+    run fails, naming the exact alternative when the command has one."""
+    if not math.isfinite(result.estimate):
+        print(f"failed: the estimate {result.estimate} is not a finite number"
+              f"{exact_hint}", file=sys.stderr)
+        return 3
     _emit({"estimate": result.estimate, **fields, **result.certificate},
           f"estimate {result.estimate:.6g}", started)
     return 0
@@ -213,12 +215,13 @@ def _cmd_count(args, started) -> int:
               f"exact count {len(result)}", started)
         return 0
     if args.mode == "exact-dp":
-        count = dp_count_bottom_up_deterministic(automaton, args.n)
+        count = exact_slice_count(automaton, args.n, budget=_budget())
         _emit({"count": count, "mode": "exact-dp", "n": args.n, "inputs": digests},
               f"exact count {count}", started)
         return 0
     return _emit_estimate(fpras_ta(automaton, args.n, _config(args)), started,
-                          n=args.n, inputs=digests)
+                          "; --mode exact-dp gives the exact count", n=args.n,
+                          inputs=digests)
 
 
 def _cmd_sample(args, started) -> int:

@@ -52,6 +52,8 @@ def _load_json(text: str, what: str):
 # {field: shape} for an object, whose fields named with a trailing "?" may
 # be absent.
 SCALAR = ("a string or number", (str, int, float, bool, type(None)))
+NAME = ("a string", (str,))  # automata sort and string-test their names
+BOOL = ("a boolean", (bool,))
 ARITY = ("an integer", (int, type(None)))
 INDEX = ("an integer", (int, float, bool, str))  # read with int()
 ANY = ("any value", SCALAR[1] + (list, dict))  # read with str()
@@ -90,8 +92,8 @@ def _load(text: str, what: str, shape):
 
 def automaton_from_json(text: str) -> TreeAutomaton:
     obj = _load(text, "automaton", {
-        "states": [SCALAR], "alphabet": [SCALAR], "initial": SCALAR, "arity?": ARITY,
-        "transitions": [{"from": SCALAR, "symbol": SCALAR, "children?": [SCALAR]}]})
+        "states": [NAME], "alphabet": [NAME], "initial": NAME, "arity?": ARITY,
+        "transitions": [{"from": NAME, "symbol": NAME, "children?": [NAME]}]})
     # The automaton keeps these as sets, where duplicates would pass unseen.
     for key in ("states", "alphabet"):
         if len(set(obj[key])) != len(obj[key]):
@@ -265,10 +267,10 @@ def circuit_from_json(text: str) -> DnnfCircuit:
     obj = _load(text, "circuit", {
         "output": ANY,
         "gates": [{"id": ANY, "type": SCALAR, "inputs?": [SCALAR], "var?": SCALAR,
-                   "sign?": SCALAR}]})
+                   "sign?": BOOL}]})
     gates = [
         Gate(str(g["id"]), g["type"], tuple(str(x) for x in g.get("inputs", [])),
-             g.get("var"), bool(g.get("sign", True)))
+             g.get("var"), g.get("sign", True))
         for g in obj["gates"]
     ]
     return DnnfCircuit(gates, str(obj["output"]))
@@ -289,9 +291,9 @@ def vtree_from_json(text: str) -> Tree:
 
 def nwa_from_json(text: str) -> NestedWordAutomaton:
     obj = _load(text, "nwa", {
-        "states": [SCALAR], "alphabet": [SCALAR], "initial": [SCALAR], "final": [SCALAR],
-        "hierarchical": [SCALAR], "call": [[SCALAR]], "internal": [[SCALAR]],
-        "return": [[SCALAR]]})
+        "states": [NAME], "alphabet": [NAME], "initial": [NAME], "final": [NAME],
+        "hierarchical": [NAME], "call": [[NAME]], "internal": [[NAME]],
+        "return": [[NAME]]})
     sets = [frozenset(obj[key])
             for key in ("states", "alphabet", "initial", "final", "hierarchical")]
     rows = [tuple(map(tuple, obj[key])) for key in ("call", "internal", "return")]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .automata import TreeAutomaton, Transition
 from .snfa import NfaError, SuccinctNFA, leveled_at
@@ -59,7 +60,7 @@ def _enumerate_from(automaton: TreeAutomaton, memo: dict, state: str, size: int)
             r = len(t.children)
             if size - 1 < r:
                 continue
-            for parts in _compositions(size - 1, r):
+            for parts in _compositions(size - 1, r, range(1, size)):
                 child_sets = [
                     _enumerate_from(automaton, memo, t.children[i], parts[i])
                     for i in range(r)
@@ -73,14 +74,21 @@ def _enumerate_from(automaton: TreeAutomaton, memo: dict, state: str, size: int)
     return result
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
+def _compositions(total: int, parts: int, sizes):
+    """Ordered ways to write total as a sum of parts members of sizes, a
+    range or a dict of positive integers in ascending order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+    elif parts == 1:
+        if total in sizes:
             yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    else:
+        for first in sizes:
+            if first > total - parts + 1:
+                break
+            for rest in _compositions(total - first, parts - 1, sizes):
+                yield (first,) + rest
 
 
 def brute_slice(automaton: TreeAutomaton, n: int, budget: int | None = DEFAULT_BUDGET) -> SliceEnumeration:
@@ -102,55 +110,42 @@ def brute_slice(automaton: TreeAutomaton, n: int, budget: int | None = DEFAULT_B
     return SliceEnumeration(n, ordered)
 
 
-class DeterminismError(ValueError):
-    pass
-
-
-def check_bottom_up_deterministic(automaton: TreeAutomaton) -> None:
-    """Raise when two transitions share a (symbol, child states) pair but
-    assign different states, naming the conflict."""
-    seen: dict[tuple, Transition] = {}
-    for t in automaton.transitions:
-        key = (t.symbol, t.children)
-        other = seen.get(key)
-        if other is not None and other.src != t.src:
-            raise DeterminismError(
-                "not bottom-up deterministic: "
-                f"transitions {other!r} and {t!r} assign different states "
-                f"to the same (symbol, children) pair"
-            )
-        seen[key] = t
-
-
-def dp_count_bottom_up_deterministic(automaton: TreeAutomaton, n: int) -> int:
-    """Exact slice count for bottom-up deterministic automata.
-
-    Sums over transitions and split sizes the products of child counts, for
-    every state, filled size by size up to n, so any n works; exact because
-    no tree has two runs in a deterministic automaton.
-    """
-    check_bottom_up_deterministic(automaton)
-    counts: dict[tuple[str, int], int] = {}
+def exact_slice_count(automaton: TreeAutomaton, n: int, budget: int | None = DEFAULT_BUDGET) -> int:
+    """Exact number of accepted trees of size n, for any automaton: the
+    bottom-up subset construction (Comon et al., Tree Automata Techniques
+    and Applications, ch. 1), run size by size.  tables[m] maps each
+    nonempty derive-state set to the number of size-m trees that have it; a
+    tree has one such set, so the sums are exact however ambiguous the
+    automaton.  The work, the sum over sizes, splits and symbol groups of
+    the product of the child tables' sizes, is checked against the budget
+    before it is done."""
+    if n < 1:
+        raise ValueError("slice size must be at least 1")
+    groups: dict[int, list] = {}  # arity -> each symbol's transitions
+    for (_, arity), transitions in automaton.by_symbol.items():
+        groups.setdefault(arity, []).append(transitions)
+    tables: dict[int, dict[frozenset, int]] = {}  # only the nonempty ones
+    work = 0
     for size in range(1, n + 1):
-        for state in automaton.states:
-            total = 0
-            if size == 1:
-                total += len(automaton.leaf_symbols.get(state, ()))
-            for t in automaton.transitions:
-                if t.src != state or not t.children:
-                    continue
-                r = len(t.children)
-                if size - 1 < r:
-                    continue
-                for parts in _compositions(size - 1, r):
-                    prod = 1
-                    for i in range(r):
-                        prod *= counts[t.children[i], parts[i]]
-                        if prod == 0:
-                            break
-                    total += prod
-            counts[state, size] = total
-    return counts.get((automaton.initial, n), 0)
+        table: dict[frozenset, int] = {}
+        for arity, group in groups.items():
+            for parts in _compositions(size - 1, arity, tables):
+                kids = [tables[p] for p in parts]
+                work += prod(map(len, kids)) * len(group)
+                if budget is not None and work > budget:
+                    raise BudgetExceeded(f"exact slice count needs more than {budget} "
+                                         f"subset products by size {size}")
+                for combo in product(*(kid.items() for kid in kids)):
+                    sets = tuple(s for s, _ in combo)
+                    count = prod(c for _, c in combo)
+                    for transitions in group:
+                        derived = frozenset(t.src for t in transitions if all(
+                            map(frozenset.__contains__, sets, t.children)))
+                        if derived:
+                            table[derived] = table.get(derived, 0) + count
+        if table:
+            tables[size] = table
+    return sum(c for s, c in tables.get(n, {}).items() if automaton.initial in s)
 
 
 def brute_nfa_count(nfa: SuccinctNFA, k: int, budget: int | None = DEFAULT_BUDGET) -> int:

@@ -81,6 +81,20 @@ def random_kary_automaton(rng: random.Random, arity: int, n_states=3,
     return TreeAutomaton(states, symbols, sorted(transitions), states[0])
 
 
+def depth_b_automaton(k: int) -> TreeAutomaton:
+    """Binary trees over {a, b} with a b node at depth exactly k: state A
+    takes any tree, p0 a tree with root b, and pj a tree whose left or right
+    child is taken by p(j-1)."""
+    transitions = []
+    for x in "ab":
+        transitions += [("A", x, ("A", "A")), ("A", x, ())]
+        for j in range(1, k + 1):
+            transitions += [(f"p{j}", x, (f"p{j - 1}", "A")), (f"p{j}", x, ("A", f"p{j - 1}"))]
+    transitions += [("p0", "b", ("A", "A")), ("p0", "b", ())]
+    states = {"A"} | {f"p{j}" for j in range(k + 1)}
+    return TreeAutomaton(states, "ab", transitions, f"p{k}")
+
+
 def random_partial_tree(rng: random.Random, alphabet, full_size: int,
                         steps: int) -> Tree:
     """Grow a partial tree with the smallest-hole-first discipline for a few

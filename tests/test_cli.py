@@ -3,10 +3,13 @@ import math
 import os
 import random
 import re
+import time
 
 import pytest
 
 from taru.cli import run
+
+from genutil import automaton_to_json
 
 
 @pytest.fixture()
@@ -55,6 +58,24 @@ def test_count_exact_dp(files, capsys):
     code, out, _ = _run(capsys, ["count", "--automaton", aut, "--n", "11", "--mode", "exact-dp"])
     assert code == 0
     assert _json_out(out)["count"] == 42
+
+
+def test_count_exact_dp_of_an_ambiguous_automaton(files, capsys, fig3):
+    """fig3 is not bottom-up deterministic; its size-13 slice holds 100
+    trees."""
+    aut = files("fig3.json", automaton_to_json(fig3))
+    code, out, _ = _run(capsys, ["count", "--automaton", aut, "--n", "13", "--mode", "exact-dp"])
+    assert code == 0
+    assert _json_out(out)["count"] == 100
+
+
+def test_count_estimate_past_the_float_range_fails(files, capsys):
+    """Catalan(1000) overflows a float: the estimate is no number JSON can
+    hold, so the run fails and points to the exact count."""
+    aut = files("cat.json", CATALAN)
+    code, out, err = _run(capsys, ["count", "--automaton", aut, "--n", "2001"])
+    assert code == 3 and out == ""
+    assert err.startswith("failed: ") and "--mode exact-dp" in err
 
 
 @pytest.mark.parametrize("n", [61, 401])
@@ -139,9 +160,10 @@ def test_malformed_json_position(files, capsys):
 def test_budget_exhaustion_exit_3(files, capsys, monkeypatch):
     aut = files("cat.json", CATALAN)
     monkeypatch.setenv("TARU_BUDGET", "5")
-    code, _, err = _run(capsys, ["count", "--automaton", aut, "--n", "13", "--mode", "brute"])
-    assert code == 3
-    assert "failed" in err
+    for mode in ("brute", "exact-dp"):
+        code, _, err = _run(capsys, ["count", "--automaton", aut, "--n", "13", "--mode", mode])
+        assert code == 3
+        assert "failed" in err
 
 
 NFA = json.dumps(
@@ -397,6 +419,19 @@ def test_oracle_nwa_budget_exit_3(files, capsys, monkeypatch):
     _assert_budget_failure(*_run(capsys, ["oracle", "--nwa", nwa, "--n", "6"]))
 
 
+@pytest.mark.parametrize("n", ["20", "10000"])
+def test_oracle_nwa_refuses_before_enumerating(files, capsys, n):
+    """The word count, Motzkin(n) times |alphabet|^n, is checked against the
+    budget before any word is built."""
+    spec = {"states": ["q"], "alphabet": ["a"], "initial": ["q"], "final": ["q"],
+            "hierarchical": [], "call": [], "internal": [["q", "a", "q"]], "return": []}
+    nwa = files("w.json", json.dumps(spec))
+    started = time.perf_counter()
+    result = _run(capsys, ["oracle", "--nwa", nwa, "--n", n])
+    assert time.perf_counter() - started < 1.0
+    _assert_budget_failure(*result)
+
+
 @pytest.mark.parametrize("kind", ["call", "return"])
 def test_nwa_undeclared_hierarchical_symbol_is_invalid_input(files, capsys, kind):
     """A call or return row naming a hierarchical symbol that the file does
@@ -632,6 +667,17 @@ _NODE = {"id": "n0", "chi": ["x"], "xi": [0]}
     pytest.param("nwa-count", "--nwa", "5", id="nwa"),
     pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, internal=[5]), id="nwa-row"),
     pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, initial="q0"), id="nwa-initial"),
+    # Names are strings, and a sign is a boolean.
+    pytest.param("count", "--automaton", _wrong_typed(CATALAN, states=["r", 1]),
+                 id="automaton-numeric-state"),
+    pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, states=["q0", "q1", 7]),
+                 id="nwa-numeric-state"),
+    pytest.param("nwa-count", "--nwa", _wrong_typed(NWA, alphabet=["a", "b", 1]),
+                 id="nwa-numeric-symbol"),
+    pytest.param("dnnf-count", "--circuit", _edited(
+        CIRCUIT, lambda d: d["gates"][2].update(sign="false")), id="circuit-sign-string"),
+    pytest.param("dnnf-count", "--circuit", _edited(
+        CIRCUIT, lambda d: d["gates"][2].update(sign=0)), id="circuit-sign-number"),
     pytest.param("cq-count", "--decomposition", "[5]", id="decomposition"),
     # A missing field, at the top and nested, in each reader.
     pytest.param("count", "--automaton", _edited(CATALAN, lambda d: d.pop("initial")),

@@ -1,21 +1,25 @@
+import math
 import random
 
 import pytest
 
 from taru.oracles import (
     BudgetExceeded,
-    DeterminismError,
     brute_completions,
     brute_nfa_count,
     brute_slice,
     candidate_tree_count,
-    check_bottom_up_deterministic,
-    dp_count_bottom_up_deterministic,
+    exact_slice_count,
 )
 from taru.snfa import ExplicitLabel, SuccinctNFA
 from taru.trees import hole, parse_tree, Tree
 
-from genutil import random_deterministic_automaton
+from genutil import (
+    depth_b_automaton,
+    random_binary_automaton,
+    random_deterministic_automaton,
+    random_kary_automaton,
+)
 
 
 def test_brute_slice_catalan(catalan):
@@ -42,29 +46,15 @@ def test_brute_slice_budget_refusal(catalan):
 
 
 def test_dp_count_deterministic_catalan(catalan):
-    assert dp_count_bottom_up_deterministic(catalan, 11) == 42
-    assert dp_count_bottom_up_deterministic(catalan, 1) == 1
+    assert exact_slice_count(catalan, 11) == 42
+    assert exact_slice_count(catalan, 1) == 1
 
 
 def test_dp_count_empty_automaton():
     from taru.automata import TreeAutomaton
 
     empty = TreeAutomaton({"s"}, {"a"}, [], "s")
-    assert dp_count_bottom_up_deterministic(empty, 1) == 0
-
-
-def test_dp_rejects_nondeterministic(mixed):
-    # (u,a,(p,r)) and (u,a,(r,p)) are fine; duplicate child pairs are not.
-    from taru.automata import TreeAutomaton
-
-    bad = TreeAutomaton(
-        {"s", "t"}, {"a"},
-        [("s", "a", ()), ("t", "a", ())],
-        "s",
-    )
-    with pytest.raises(DeterminismError) as err:
-        check_bottom_up_deterministic(bad)
-    assert "s" in str(err.value) and "t" in str(err.value)
+    assert exact_slice_count(empty, 1) == 0
 
 
 def test_dp_matches_brute_on_random_deterministic():
@@ -73,11 +63,44 @@ def test_dp_matches_brute_on_random_deterministic():
     for trial in range(200):
         aut = random_deterministic_automaton(rng)
         n = rng.choice([1, 3, 5, 7, 9])
-        assert dp_count_bottom_up_deterministic(aut, n) == len(
+        assert exact_slice_count(aut, n) == len(
             brute_slice(aut, n, budget=None)
         )
         agreements += 1
     assert agreements == 200
+
+
+@pytest.mark.parametrize("name", ["fig3", "mixed", "root_witness", "catalan"])
+def test_exact_count_matches_brute_on_fixtures(request, name):
+    automaton = request.getfixturevalue(name)
+    for n in range(1, 16):
+        assert exact_slice_count(automaton, n) == len(brute_slice(automaton, n, budget=None))
+
+
+def test_exact_count_matches_brute_on_random_nondeterministic():
+    rng = random.Random(5)
+    for _ in range(200):
+        aut = random_binary_automaton(rng)
+        n = rng.choice([1, 3, 5, 7, 9, 11])
+        assert exact_slice_count(aut, n) == len(brute_slice(aut, n, budget=None))
+    rng = random.Random(7)
+    for _ in range(100):
+        aut = random_kary_automaton(rng, 3)
+        n = rng.randint(1, 7)
+        assert exact_slice_count(aut, n) == len(brute_slice(aut, n, budget=None))
+
+
+def test_exact_count_closed_form_fig3(fig3):
+    """fig3 accepts every tree but the 2^(m-1) caterpillars among the
+    Catalan(m) trees with m internal nodes; n = 29 is out of brute reach."""
+    assert exact_slice_count(fig3, 29) == math.comb(28, 14) // 15 - 2**13
+
+
+def test_exact_count_depth_b():
+    """depth-b(6) carries up to 2^7 derive-state sets per size."""
+    aut = depth_b_automaton(6)
+    assert exact_slice_count(aut, 13) == len(brute_slice(aut, 13, budget=None)) == 196_608
+    assert exact_slice_count(aut, 21) == 25_525_420_032
 
 
 def test_dp_unambiguous_chain():
